@@ -64,6 +64,14 @@ class IoFailure(BenchError):
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """Which scenarios and architectures ``run_benchmark`` runs.
+
+    ``seed`` is only a label for ``run_benchmark``: every scenario is a
+    fixed fault schedule, so the seed changes the config digest and the
+    report, never a cell.  The CLI also passes it to ``run_fuzz`` for
+    ``bench --fuzz``, the one place it seeds anything.
+    """
+
     scenario_ids: tuple[str, ...] | None = None  # None = all 19
     architectures: tuple[str, ...] = ARCHITECTURES
     seed: int = 0

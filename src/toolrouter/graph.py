@@ -84,9 +84,15 @@ class ToolGraph:
     """Mutable routing substrate for one task.
 
     Single writer per instance; instances share no state, so distinct graphs
-    may live on distinct threads.  ``completed`` records nodes already
-    executed in the current task and ``sentinels`` marks start/goal markers
+    may live on distinct threads.  ``sentinels`` marks start/goal markers
     that are routable but never invoked as tools.
+
+    A task's progress lives in its ``ExecutionTrace``, but a task does write
+    into the graph it runs on: quarantine sets edge weights to infinity, and
+    a demotion wires in its fallback lane (``DemotionOption.extra_edges``).
+    A graph that has seen a quarantine or a demotion therefore serves only
+    that one task; give the next task a fresh graph (or a ``copy`` taken
+    before the first task ran).
     """
 
     def __init__(self) -> None:
@@ -95,7 +101,6 @@ class ToolGraph:
         self._edges: dict[tuple[str, str], Edge] = {}
         self._out: dict[str, set[str]] = {}
         self._in: dict[str, set[str]] = {}
-        self.completed: set[str] = set()
         self.sentinels: set[str] = set()
         self.search_count = 0  # shortest_path invocations, for invariance checks
 
@@ -129,7 +134,6 @@ class ToolGraph:
         g._out = {k: set(v) for k, v in self._out.items()}
         g._in = {k: set(v) for k, v in self._in.items()}
         g._edges = {k: Edge(e.src, e.dst, e.base_weight, e.effective_weight) for k, e in self._edges.items()}
-        g.completed = set(self.completed)
         g.sentinels = set(self.sentinels)
         return g
 

@@ -16,7 +16,6 @@ detected together are quarantined as one batch with a single recompute.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Protocol
@@ -24,8 +23,6 @@ from typing import Mapping, Protocol
 from .calibration import SimClock, ToolState
 from .graph import RoutePath, ToolGraph
 from .monitors import MonitorConfig, RequestContext, compete, run_all_monitors
-
-logger = logging.getLogger(__name__)
 
 _MAX_LOOP = 10_000  # hard stop against pathological schedules
 
@@ -167,7 +164,7 @@ class ExecutionTrace:
     demotions: list[dict] = field(default_factory=list)
     null_routes: int = 0
     risk_interrupts: int = 0
-    quarantined: list[str] = field(default_factory=list)
+    quarantined: set[str] = field(default_factory=set)
     events: list[dict] = field(default_factory=list)
     final_goal: str = ""
 
@@ -193,7 +190,7 @@ class ExecutionTrace:
             "llm_calls": self.llm_calls,
             "completed": sorted(self.completed),
             "demotions": self.demotions,
-            "quarantined": sorted(set(self.quarantined)),
+            "quarantined": sorted(self.quarantined),
             "timeline": self.events,
         }
 
@@ -228,210 +225,172 @@ def execute_task(
         raise MalformedGoal(f"start node {start!r} not in graph")
 
     cfg = monitor_config or MonitorConfig()
+    tools = graph.tool_nodes()
     states: Mapping[str, ToolState] = tool_states if tool_states is not None else {
-        t: ToolState(t) for t in graph.tool_nodes()
+        t: ToolState(t) for t in tools
     }
     trace = ExecutionTrace(goal_id=goal.id, final_goal=goal.id)
-    graph.completed.add(start)
     position = start  # last successfully completed node
-    active_goal = goal
-    active_goal_node = goal.goal_node
-    ladder_index = 0
-    quarantined: set[str] = set()
-
-    def visible_risk() -> tuple[float | None, float | None]:
-        done = len([c for c in trace.tool_calls if c.success])
-        if done >= request.risk_visible_after:
-            return request.amount, request.risk_score
-        return None, None
+    goal_node = goal.goal_node
+    ladder_index = 0  # ladder options before this index have been tried
 
     def sweep(failed_batch: tuple[str, ...] = ()):
         if prober is not None:
             opened = prober.scan(clock, states, attempts=len(trace.tool_calls))
             if opened:
                 trace.log(clock.now, "probe_detected", tools=opened)
-        amount, score = visible_risk()
+        visible = len([c for c in trace.tool_calls if c.success]) >= request.risk_visible_after
         ctx = RequestContext(
             text=request.text,
-            goal=active_goal.id,
-            amount=amount,
-            risk_score=score,
-            progress=min(1.0, len(trace.completed) / max(1, len(graph.tool_nodes()))),
+            goal=trace.final_goal,
+            amount=request.amount if visible else None,
+            risk_score=request.risk_score if visible else None,
+            progress=min(1.0, len(trace.completed) / max(1, len(tools))),
             tool_states=states,
             failed_tools=failed_batch,
-            quarantined=frozenset(quarantined),
+            quarantined=frozenset(trace.quarantined),
         )
-        winner = compete(run_all_monitors(ctx, cfg))
-        return winner
+        return compete(run_all_monitors(ctx, cfg))
 
-    def quarantine_batch(nodes: list[str]) -> None:
+    def alerts(winner) -> list[str]:
+        return winner.payload["tools"] if winner.source == "tool_health" else []
+
+    def interrupted(winner) -> bool:
+        """A risk signal at escalation priority ends the run with one consult."""
+        if winner.source == "risk" and winner.priority >= cfg.risk_priority:
+            trace.risk_interrupts += 1
+            consult("risk_escalation", f"risk flags {winner.payload['flags']}")
+            return True
+        return False
+
+    def quarantine(nodes: list[str]) -> None:
         for n in nodes:
             graph.quarantine_node(n)
-            quarantined.add(n)
-            trace.quarantined.append(n)
+            trace.quarantined.add(n)
         trace.log(clock.now, "quarantine", tools=sorted(nodes))
 
-    def reroute_from_position() -> RoutePath | None:
-        route = graph.shortest_path(position, active_goal_node)
+    def consult(kind: str, detail: str) -> RoutePath | None:
+        """The one reasoner call site.  A demotion query answered with an
+        untried rung of the ladder makes that rung the active goal and
+        returns its route; a rung that is unroutable is followed by one
+        escalation query.  Every other verdict ends the run as ESCALATED
+        and returns None.  This loops rather than recursing: a recursive
+        closure would form a reference cycle that keeps the task's graph
+        alive until a garbage collection."""
+        nonlocal goal_node, ladder_index
+        while True:
+            query = ReasonerQuery(
+                kind=kind,
+                original_goal=goal.id,
+                active_goal=trace.final_goal,
+                remaining_options=tuple(o.goal_id for o in goal.ladder[ladder_index:]),
+                detail=detail,
+            )
+            verdict = reasoner.consult(query)
+            trace.llm_calls += 1
+            if isinstance(verdict, Escalate):
+                note = verdict.note
+                break
+            if kind != "demotion":
+                note = f"unexpected demotion {verdict.goal_id}"
+                break
+            option = next((o for o in goal.ladder[ladder_index:] if o.goal_id == verdict.goal_id), None)
+            if option is None:
+                note = f"rejected demotion to {verdict.goal_id!r}: not an untried option for {goal.id}"
+                break
+            ladder_index = goal.ladder.index(option) + 1
+            for src, dst, w in option.extra_edges:
+                if not graph.has_edge(src, dst):
+                    graph.add_edge(src, dst, w)
+            # Freshly wired fallback edges must not resurrect tools the task
+            # already knows are down.
+            for node in sorted(trace.quarantined):
+                graph.quarantine_node(node)
+            route = graph.shortest_path(position, option.goal_node)
+            if route is not None:
+                goal_node = option.goal_node
+                trace.demotions.append({"from": trace.final_goal, "to": option.goal_id, "at_ms": clock.now})
+                trace.final_goal = option.goal_id
+                trace.log(clock.now, "demoted", goal=option.goal_id, path=list(route.nodes))
+                return route
+            trace.null_routes += 1
+            trace.log(clock.now, "demotion_unroutable", goal=option.goal_id)
+            kind, detail = "escalation", f"fallback goal {option.goal_id} unreachable from {position}"
+        resolution = "handoff" if kind == "demotion" else kind
+        trace.status = TraceStatus.ESCALATED
+        trace.resolution = {"kind": resolution, "note": note}
+        trace.log(clock.now, "escalated", kind=resolution, note=note)
+        return None
+
+    def recover(batch: list[str], detail: str) -> RoutePath | None:
+        """The recovery step: quarantine the batch, recompute once from the
+        last completed node, and on a null route consult once for a
+        demotion.  Returns the route to resume on, or None once escalated."""
+        quarantine(batch)
+        route = graph.shortest_path(position, goal_node)
         trace.failure_recomputes += 1
         if route is None:
             trace.null_routes += 1
-            trace.log(clock.now, "route_exhausted", source=position, goal=active_goal_node)
-        else:
-            trace.recovery_events += 1
-            trace.log(clock.now, "reroute", path=list(route.nodes), cost=route.total_cost)
+            trace.log(clock.now, "route_exhausted", source=position, goal=goal_node)
+            return consult("demotion", detail)
+        trace.recovery_events += 1
+        trace.log(clock.now, "reroute", path=list(route.nodes), cost=route.total_cost)
         return route
-
-    def escalate(kind: str, detail: str) -> None:
-        query = ReasonerQuery(
-            kind=kind,
-            original_goal=goal.id,
-            active_goal=active_goal.id,
-            remaining_options=tuple(o.goal_id for o in goal.ladder[ladder_index:]),
-            detail=detail,
-        )
-        verdict = reasoner.consult(query)
-        trace.llm_calls += 1
-        note = verdict.note if isinstance(verdict, Escalate) else f"unexpected demotion {verdict.goal_id}"
-        trace.status = TraceStatus.ESCALATED
-        trace.resolution = {"kind": kind, "note": note}
-        trace.log(clock.now, "escalated", kind=kind, note=note)
-
-    def attempt_demotion(detail: str) -> RoutePath | None:
-        """One demotion consult; returns the fallback route, or None after an
-        escalation consult when the proposal is unroutable or the ladder is
-        out of options."""
-        nonlocal active_goal_node, ladder_index
-        query = ReasonerQuery(
-            kind="demotion",
-            original_goal=goal.id,
-            active_goal=active_goal.id,
-            remaining_options=tuple(o.goal_id for o in goal.ladder[ladder_index:]),
-            detail=detail,
-        )
-        verdict = reasoner.consult(query)
-        trace.llm_calls += 1
-        if isinstance(verdict, Escalate):
-            trace.status = TraceStatus.ESCALATED
-            trace.resolution = {"kind": "handoff", "note": verdict.note}
-            trace.log(clock.now, "escalated", kind="handoff", note=verdict.note)
-            return None
-        option = next(o for o in goal.ladder if o.goal_id == verdict.goal_id)
-        ladder_index = goal.ladder.index(option) + 1
-        for src, dst, w in option.extra_edges:
-            if not graph.has_edge(src, dst):
-                graph.add_edge(src, dst, w)
-        # Freshly wired fallback edges must not resurrect tools the task
-        # already knows are down.
-        for node in sorted(quarantined):
-            graph.quarantine_node(node)
-        route = graph.shortest_path(position, option.goal_node)
-        if route is None:
-            trace.null_routes += 1
-            trace.log(clock.now, "demotion_unroutable", goal=option.goal_id)
-            escalate("escalation", f"fallback goal {option.goal_id} unreachable from {position}")
-            return None
-        active_goal_node = option.goal_node
-        trace.demotions.append({"from": trace.final_goal, "to": option.goal_id, "at_ms": clock.now})
-        trace.final_goal = option.goal_id
-        trace.log(clock.now, "demoted", goal=option.goal_id, path=list(route.nodes))
-        return route
-
-    def handle_signal(winner) -> str:
-        """Dispatch a winning monitor signal.  Returns 'continue', 'reroute'
-        or 'stop'; reroutes update ``path``/``idx`` via the enclosing scope."""
-        nonlocal path, idx
-        if winner.source == "risk" and winner.priority >= cfg.risk_priority:
-            trace.risk_interrupts += 1
-            escalate("risk_escalation", f"risk flags {winner.payload['flags']}")
-            return "stop"
-        if winner.source == "tool_health" and winner.payload["tools"]:
-            quarantine_batch(winner.payload["tools"])
-            new_route = reroute_from_position()
-            if new_route is None:
-                new_route = attempt_demotion("no route after quarantine")
-                if new_route is None:
-                    return "stop"
-            path = new_route
-            idx = resume_point(path, graph.completed)
-            return "reroute"
-        return "continue"
 
     # Pre-execution sweep: probe-detected outages are quarantined before the
     # first route is computed; an already-visible risk escalates before any
     # tool is touched.
     winner = sweep()
     trace.log(clock.now, "monitor_winner", source=winner.source, priority=winner.priority)
-    if winner.source == "risk" and winner.priority >= cfg.risk_priority:
-        trace.risk_interrupts += 1
-        escalate("risk_escalation", f"risk flags {winner.payload['flags']}")
+    if interrupted(winner):
         return trace
-    if winner.source == "tool_health" and winner.payload["tools"]:
-        quarantine_batch(winner.payload["tools"])
+    if alerts(winner):
+        quarantine(alerts(winner))
 
-    path = graph.shortest_path(start, active_goal_node)
+    path = graph.shortest_path(start, goal_node)
     if path is None:
         trace.null_routes += 1
-        trace.log(clock.now, "route_exhausted", source=start, goal=active_goal_node)
-        route = attempt_demotion("no initial route")
-        if route is None:
+        trace.log(clock.now, "route_exhausted", source=start, goal=goal_node)
+        path = consult("demotion", "no initial route")
+        if path is None:
             return trace
-        path = route
     else:
         trace.log(clock.now, "routed", path=list(path.nodes), cost=path.total_cost)
-    idx = resume_point(path, graph.completed)
 
     for _ in range(_MAX_LOOP):
-        if idx >= len(path.nodes):
+        # Each pass walks the current route from its first unfinished node;
+        # a recovery ends the pass with the route to resume on.
+        for node in path.nodes[resume_point(path, trace.completed | {start}) :]:
+            winner = sweep()
+            if interrupted(winner):
+                return trace
+            if alerts(winner):
+                path = recover(alerts(winner), "no route after quarantine")
+                break
+            if node not in graph.sentinels:
+                outcome = invoker.invoke(node, clock)
+                clock.advance(outcome.latency_ms)
+                state = states.get(node)
+                if state is not None:
+                    state.record_call(clock, outcome.latency_ms, outcome.success)
+                trace.tool_calls.append(ToolCall(node, outcome.success, outcome.failure_kind, clock.now))
+                trace.log(clock.now, "tool_call", node=node, success=outcome.success, kind=outcome.failure_kind)
+                if not outcome.success:
+                    # The failure sweep sees the failed call plus anything the
+                    # probes found in the same pass; the whole batch is
+                    # quarantined before the single recompute.  With monitors
+                    # disabled or misconfigured the failure itself is the batch.
+                    batch = alerts(sweep(failed_batch=(node,))) or [node]
+                    path = recover(batch, f"failure of {node} exhausted the route")
+                    break
+                position = node
+            trace.completed.add(node)
+        else:
             trace.status = TraceStatus.SUCCESS
             trace.resolution = {"kind": "completed", "goal": trace.final_goal, "path": list(path.nodes)}
             trace.log(clock.now, "completed", goal=trace.final_goal)
             return trace
-
-        node = path.nodes[idx]
-
-        winner = sweep()
-        action = handle_signal(winner)
-        if action == "stop":
+        if path is None:
             return trace
-        if action == "reroute":
-            continue
-
-        if node in graph.sentinels:
-            graph.completed.add(node)
-            trace.completed.add(node)
-            idx += 1
-            continue
-
-        outcome = invoker.invoke(node, clock)
-        clock.advance(outcome.latency_ms)
-        state = states.get(node)
-        if state is not None:
-            state.record_call(clock, outcome.latency_ms, outcome.success)
-        trace.tool_calls.append(ToolCall(node, outcome.success, outcome.failure_kind, clock.now))
-        trace.log(clock.now, "tool_call", node=node, success=outcome.success, kind=outcome.failure_kind)
-
-        if outcome.success:
-            graph.completed.add(node)
-            trace.completed.add(node)
-            position = node
-            idx += 1
-            continue
-
-        # Failure: the monitor sweep sees the failed call plus anything the
-        # probes found in the same pass; the whole batch is quarantined
-        # before the single recompute.
-        winner = sweep(failed_batch=(node,))
-        if winner.source == "tool_health" and winner.payload["tools"]:
-            quarantine_batch(winner.payload["tools"])
-        else:  # monitors disabled or misconfigured; quarantine the failure itself
-            quarantine_batch([node])
-        route = reroute_from_position()
-        if route is None:
-            route = attempt_demotion(f"failure of {node} exhausted the route")
-            if route is None:
-                return trace
-        path = route
-        idx = resume_point(path, graph.completed)
 
     raise OrchestratorError("execution did not terminate within the loop bound")

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import gc
+import random
+
 import pytest
 
+from toolrouter.bench import random_schedule
 from toolrouter.calibration import SimClock
 from toolrouter.graph import RoutePath
 from toolrouter.monitors import MonitorConfig
 from toolrouter.orchestrator import (
+    DemotedGoal,
     Escalate,
     MalformedGoal,
     Outcome,
@@ -17,7 +22,7 @@ from toolrouter.orchestrator import (
     execute_task,
     resume_point,
 )
-from toolrouter.scenarios import scenario_tool_states
+from toolrouter.scenarios import HealthyInvoker, ScheduledInvoker, ScheduledProber, scenario_tool_states
 from toolrouter.topologies import START, TopologyKind, build_topology
 
 
@@ -162,6 +167,30 @@ class TestRiskInterrupt:
         assert [c.node for c in trace.tool_calls] == ["crm", "stripe", "razorpay"]
 
 
+class RecordingReasoner(RuleReasoner):
+    """RuleReasoner that keeps every query it was asked."""
+
+    def __init__(self):
+        super().__init__()
+        self.queries = []
+
+    def consult(self, query):
+        self.queries.append(query)
+        return super().consult(query)
+
+
+class ProposingReasoner(RecordingReasoner):
+    """Adversarial reasoner: answers every demotion query with one fixed goal id."""
+
+    def __init__(self, goal_id):
+        super().__init__()
+        self.goal_id = goal_id
+
+    def consult(self, query):
+        verdict = super().consult(query)
+        return DemotedGoal(self.goal_id) if query.kind == "demotion" else verdict
+
+
 class TestReasonerContract:
     def test_counter_increments_once_per_consult(self):
         reasoner = RuleReasoner()
@@ -179,6 +208,43 @@ class TestReasonerContract:
         reasoner = RuleReasoner()
         verdict = reasoner.consult(ReasonerQuery("demotion", "g", "g", ()))
         assert isinstance(verdict, Escalate)
+
+    @pytest.mark.parametrize("proposal", ["no_such_goal", "issue_refund"])
+    def test_proposal_outside_the_ladder_escalates(self, proposal):
+        reasoner = ProposingReasoner(proposal)
+        trace, _ = run_support(down={"stripe", "razorpay"}, reasoner=reasoner)
+        assert trace.status is TraceStatus.ESCALATED
+        assert trace.resolution["kind"] == "handoff"
+        assert proposal in trace.resolution["note"]
+        assert trace.events[-1]["event"] == "escalated"
+        assert trace.llm_calls == reasoner.calls == 1
+        assert not trace.demotions
+
+    def test_proposal_already_tried_escalates(self):
+        # store_credit is the only rung; once it fails too, proposing it
+        # again must be refused rather than rewired and retried.
+        reasoner = ProposingReasoner("issue_store_credit")
+        trace, _ = run_support(down={"stripe", "razorpay", "store_credit"}, reasoner=reasoner)
+        assert [q.remaining_options for q in reasoner.queries] == [("issue_store_credit",), ()]
+        assert trace.status is TraceStatus.ESCALATED
+        assert "issue_store_credit" in trace.resolution["note"]
+        assert len(trace.demotions) == 1
+        assert trace.llm_calls == 2
+        assert "demotion_unroutable" not in [ev["event"] for ev in trace.events]
+
+    def test_queries_name_the_demoted_goal(self):
+        reasoner = RecordingReasoner()
+        req = TaskRequest(text="refund order 1", amount=50_000.0, risk_visible_after=2)
+        trace, _ = run_support(request=req, down={"stripe", "razorpay"}, reasoner=reasoner)
+        assert trace.final_goal == "issue_store_credit"
+        assert trace.status is TraceStatus.ESCALATED
+        risk = reasoner.queries[-1]
+        assert (risk.kind, risk.original_goal, risk.active_goal) == (
+            "risk_escalation",
+            "issue_refund",
+            "issue_store_credit",
+        )
+        assert trace.resolution["note"].startswith("escalating issue_store_credit")
 
 
 class TestBinaryObservability:
@@ -207,3 +273,107 @@ class TestBinaryObservability:
         doc = trace.as_dict()
         assert set(doc) >= {"tool_calls", "recovery_events", "llm_calls", "status", "timeline"}
         assert all("t_ms" in ev for ev in doc["timeline"])
+
+
+class TestTaskStateBelongsToTheTask:
+    def test_second_task_on_one_graph_runs_in_full(self):
+        topo = build_topology(TopologyKind.LINEAR_PIPELINE)
+        graph = topo.fresh_graph()
+        for _ in range(2):
+            trace = execute_task(
+                topo.goal,
+                graph,
+                HealthyInvoker(),
+                RuleReasoner(),
+                SimClock(),
+                TaskRequest(text="refund order 5"),
+                start=START,
+            )
+            assert trace.status is TraceStatus.SUCCESS
+            assert [c.node for c in trace.tool_calls] == ["crm", "stripe", "email"]
+
+    def test_finished_task_leaves_no_reference_cycles(self):
+        # A cycle would keep each task's graph and tool states alive until
+        # the next garbage collection.
+        gc.collect()
+        gc.disable()
+        try:
+            for down in [set(), {"stripe"}, {"stripe", "razorpay"}, {"email", "sms"}]:
+                run_support(down=down)
+            run_support(request=TaskRequest(text="refund order 1", amount=50_000.0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+RECOMPUTE_EVENTS = ("reroute", "route_exhausted")
+
+
+def timeline_violations(trace) -> list[str]:
+    """Replay a trace's timeline against the structural invariants."""
+    problems = []
+    succeeded: set[str] = set()
+    quarantined: set[str] = set()
+    routed = False
+    recomputes = None  # recomputes since the last quarantine batch after the first route
+    last_t = None
+    for ev in trace.events:
+        kind = ev["event"]
+        if last_t is not None and ev["t_ms"] < last_t:
+            problems.append(f"t_ms went back from {last_t} to {ev['t_ms']} at {kind}")
+        last_t = ev["t_ms"]
+        if kind in ("quarantine", "tool_call"):
+            if recomputes not in (None, 1):
+                problems.append(f"quarantine batch followed by {recomputes} recomputes")
+            recomputes = None
+        if kind == "quarantine":
+            quarantined.update(ev["tools"])
+            if routed:
+                recomputes = 0
+        elif kind == "tool_call":
+            if ev["node"] in succeeded:
+                problems.append(f"{ev['node']} invoked again after it succeeded")
+            if ev["node"] in quarantined:
+                problems.append(f"quarantined {ev['node']} was invoked")
+            if ev["success"]:
+                succeeded.add(ev["node"])
+        elif kind in RECOMPUTE_EVENTS or kind in ("routed", "demoted"):
+            if kind in RECOMPUTE_EVENTS and recomputes is not None:
+                recomputes += 1
+            routed = True
+    if recomputes not in (None, 1):
+        problems.append(f"final quarantine batch followed by {recomputes} recomputes")
+    return problems
+
+
+class TestGeneratedRunInvariants:
+    def test_invariants_hold_over_random_schedules(self):
+        rng = random.Random(20261017)
+        kinds = list(TopologyKind)
+        outcomes = set()
+        for i in range(300):
+            topo = build_topology(kinds[i % len(kinds)])
+            schedule = random_schedule(topo.kind, rng)
+            graph = topo.fresh_graph()
+            invoker = ScheduledInvoker(schedule)
+            if rng.random() < 0.25:
+                request = TaskRequest(text="fuzz task", amount=50_000.0, risk_visible_after=rng.randint(0, 4))
+            else:
+                request = TaskRequest(text="fuzz task")
+            trace = execute_task(
+                topo.goal,
+                graph,
+                invoker,
+                RuleReasoner(),
+                SimClock(),
+                request,
+                start=START,
+                tool_states=scenario_tool_states(graph),
+                prober=ScheduledProber(schedule, invoker),
+            )
+            assert trace.status in (TraceStatus.SUCCESS, TraceStatus.ESCALATED)
+            assert timeline_violations(trace) == [], (i, schedule)
+            outcomes.add((trace.status, bool(trace.demotions), trace.recovery_events > 0))
+        # The schedules reach every kind of ending, so the replay saw reroutes,
+        # demotions and escalations, not only clean runs.
+        assert len(outcomes) >= 5
