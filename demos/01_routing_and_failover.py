@@ -15,8 +15,8 @@ graph = topo.fresh_graph()
 route = graph.shortest_path(START, "goal_refund")
 print("healthy route:   ", " -> ".join(route.nodes), f"(cost {route.total_cost})")
 
-# Take the primary payment provider down.  Only edge weights change; the
-# topology is untouched, so the backup path was there all along.
+# Take the primary payment provider down.  Its edges now count as infinite
+# weight; the topology is untouched, so the backup path was there all along.
 changed = graph.quarantine_node("stripe")
 route = graph.shortest_path(START, "goal_refund")
 print(f"stripe down ({changed} edges to infinity):")
@@ -28,7 +28,7 @@ route = graph.shortest_path(START, "goal_refund")
 print("stripe+email down:")
 print("rerouted:        ", " -> ".join(route.nodes), f"(cost {route.total_cost})")
 
-# When recovery arrives, weights return and the primaries win again.
+# When recovery arrives, the quarantine lifts and the primaries win again.
 graph.restore_node("stripe")
 graph.restore_node("email")
 route = graph.shortest_path(START, "goal_refund")

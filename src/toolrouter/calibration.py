@@ -20,9 +20,8 @@ so any sequence of events replays bit-identically.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .graph import INFINITE
@@ -254,21 +253,43 @@ class ToolCalibration:
     base_cost: float = 1.0
 
 
+# Per setting: the JSON number type it takes and the rule its value meets.
+_SETTING_RULES = {
+    "trip_threshold": (int, ">= 1", lambda v: v >= 1),
+    "cooldown_ms": (int, ">= 0", lambda v: v >= 0),
+    "probe_interval_ms": (int, ">= 0", lambda v: v >= 0),
+    "ramp_length": (int, ">= 0", lambda v: v >= 0),
+    "ramp_start_multiplier": (float, "in [1, inf)", lambda v: 1.0 <= v < INFINITE),
+    "nominal_latency_ms": (float, "in (0, inf)", lambda v: 0.0 < v < INFINITE),
+    "base_cost": (float, "in [%g, %g]" % BASE_COST_RANGE, lambda v: BASE_COST_RANGE[0] <= v <= BASE_COST_RANGE[1]),
+}
+
+
+def _setting(tool: str, name: str, value) -> int | float:
+    kind, rule, ok = _SETTING_RULES[name]
+    if type(value) not in (kind, int) or not ok(value):
+        raise CalibrationError(f"{tool}: {name} must be {kind.__name__} {rule}, got {value!r}")
+    return kind(value)
+
+
 def load_calibration_config(text: str) -> dict[str, ToolCalibration]:
     """Parse the optional per-tool calibration file (JSON object keyed by
-    tool id; unknown keys rejected, all fields optional)."""
-    doc = json.loads(text)
+    tool id; all fields optional).  Bad JSON, unknown keys and bad values
+    raise ``CalibrationError`` naming the tool and the field."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CalibrationError(f"invalid calibration JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CalibrationError("calibration config must be a JSON object")
-    allowed = set(ToolCalibration.__dataclass_fields__)
     out: dict[str, ToolCalibration] = {}
     for tool, fields_in in doc.items():
         if not isinstance(fields_in, dict):
             raise CalibrationError(f"{tool}: expected an object of settings")
-        unknown = set(fields_in) - allowed
+        unknown = set(fields_in) - set(_SETTING_RULES)
         if unknown:
             raise CalibrationError(f"{tool}: unknown settings {sorted(unknown)}")
-        out[tool] = ToolCalibration(**fields_in)
+        out[tool] = ToolCalibration(**{k: _setting(tool, k, v) for k, v in fields_in.items()})
     return out
 
 
@@ -276,8 +297,8 @@ class ToolState:
     """Telemetry window + breaker + current composite weight for one tool.
 
     Confined to one orchestration context at a time.  ``current_weight`` is
-    recomputed after every recorded event so readers always see a weight
-    that matches the latest factors.
+    composed on read from the factors at the latest recorded event, so it
+    always matches them and costs nothing when no one reads it.
     """
 
     def __init__(self, tool: str, config: ToolCalibration | None = None):
@@ -289,7 +310,7 @@ class ToolState:
             trip_threshold=self.config.trip_threshold,
         )
         self.quota_remaining = 1.0
-        self.current_weight = self.config.base_cost
+        self._last_event_ms = 0
         self._next_probe_at = self.config.probe_interval_ms
 
     def factors(self, now_ms: int) -> WeightFactors:
@@ -301,8 +322,9 @@ class ToolState:
             availability_factor=INFINITE if self.breaker.phase is BreakerPhase.OPEN else 1.0,
         )
 
-    def _refresh(self, now_ms: int) -> None:
-        self.current_weight = compose_weight(self.factors(now_ms))
+    @property
+    def current_weight(self) -> float:
+        return compose_weight(self.factors(self._last_event_ms))
 
     def record_call(self, clock: SimClock, latency_ms: float, success: bool) -> None:
         """Reactive update: fold one call result into window and breaker."""
@@ -310,7 +332,7 @@ class ToolState:
             raise OutOfRange("latency must be >= 0")
         self.window.append(clock.now, latency_ms, success)
         self.breaker.on_result(clock.now, success)
-        self._refresh(clock.now)
+        self._last_event_ms = clock.now
 
     def run_health_probe(self, clock: SimClock, latency_ms: float, success: bool) -> None:
         """Proactive update: same effects as a call, except an OPEN breaker
@@ -318,7 +340,7 @@ class ToolState:
         outcome decides recovery."""
         self.window.append(clock.now, latency_ms, success)
         self.breaker.on_probe(clock.now, success)
-        self._refresh(clock.now)
+        self._last_event_ms = clock.now
 
     def probe_due(self, now_ms: int) -> bool:
         return now_ms >= self._next_probe_at

@@ -32,7 +32,7 @@ from .bench import (
     run_benchmark,
     run_fuzz,
 )
-from .monitors import MonitorConfig
+from .monitors import MonitorConfig, MonitorError
 from .scenarios import load_scenarios, run_self_healing
 
 ENV_CONFIG = "TOOLROUTER_CONFIG"
@@ -47,16 +47,24 @@ def _emit(text: str, out: str | None) -> None:
 
 def _env_monitor_config() -> MonitorConfig | None:
     """Optional monitor overrides from the TOOLROUTER_CONFIG file
-    (JSON object with a "monitor" section)."""
+    (JSON object with a "monitor" section).  A file that does not parse, or
+    a section with an unknown key, raises ``MonitorError`` naming the file."""
     path = os.environ.get(ENV_CONFIG)
     if not path:
         return None
     if not Path(path).exists():
         print(f"warning: {ENV_CONFIG}={path} does not exist; ignoring", file=sys.stderr)
         return None
-    doc = json.loads(Path(path).read_text())
-    section = doc.get("monitor")
-    return MonitorConfig(**section) if section else None
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise MonitorError("expected a JSON object")
+        section = doc.get("monitor")
+        return MonitorConfig.from_dict(section) if section else None
+    except json.JSONDecodeError as exc:
+        raise MonitorError(f"{ENV_CONFIG}={path}: invalid JSON: {exc}") from exc
+    except MonitorError as exc:
+        raise MonitorError(f"{ENV_CONFIG}={path}: {exc}") from exc
 
 
 def _cmd_run(args) -> int:
@@ -66,7 +74,12 @@ def _cmd_run(args) -> int:
         return 2
     scenario = scenarios[args.scenario]
     if args.arch == "shr":
-        trace = run_self_healing(scenario, monitor_config=_env_monitor_config())
+        try:
+            monitor_config = _env_monitor_config()
+        except MonitorError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        trace = run_self_healing(scenario, monitor_config=monitor_config)
         report = audit(trace, scenario)
     elif args.arch == "react":
         trace = run_react(scenario)

@@ -1,22 +1,24 @@
 """Cost-weighted directed tool graph with deterministic shortest-path search.
 
-Tools are nodes, directed edges carry strictly positive finite costs, and a
-distinguished infinite weight marks quarantined connections.  Pathfinding is
-Dijkstra with a binary heap, O((V+E) log V).  Among equal-cost routes the
-lexicographically smallest node-id sequence wins, so identical graph states
-always produce identical paths.
+Tools are nodes and directed edges carry strictly positive finite costs that
+never change once added.  Quarantine is a set of nodes: an edge is usable
+only while neither endpoint is quarantined, so an edge wired in after a
+quarantine is excluded too.  Search is one reverse Dijkstra pass from the
+goal with a binary heap, O((V+E) log V), stopping once the source is
+settled.  Among equal-cost routes the lexicographically smallest node-id
+sequence wins, so identical graph states always produce identical paths.
 
-Graphs here are small (tens of nodes); every query recomputes from scratch
-rather than caching, so the route always reflects the current edge weights.
+Every query recomputes from scratch rather than caching, so the route
+always reflects the current quarantine set.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterator, Mapping
+from typing import Iterator
 
 INFINITE = math.inf
 
@@ -45,23 +47,15 @@ class GraphFormatError(GraphError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Edge:
-    """Directed edge.  effective_weight tracks base_weight until quarantine
-    or calibration overrides it."""
+    """Snapshot of a directed edge.  ``effective_weight`` is the base weight,
+    or infinite while either endpoint is quarantined."""
 
     src: str
     dst: str
     base_weight: float
     effective_weight: float
-
-    def as_dict(self) -> dict:
-        return {
-            "from": self.src,
-            "to": self.dst,
-            "weight": self.base_weight,
-            "effective": None if math.isinf(self.effective_weight) else self.effective_weight,
-        }
 
 
 @dataclass(frozen=True)
@@ -72,14 +66,6 @@ class RoutePath:
     total_cost: float
 
 
-def _check_weight(w: float, allow_infinite: bool = False) -> float:
-    if allow_infinite and w == INFINITE:
-        return w
-    if not (isinstance(w, (int, float)) and math.isfinite(w) and w > 0):
-        raise NonPositiveWeight(f"edge weight must be finite and > 0, got {w!r}")
-    return float(w)
-
-
 class ToolGraph:
     """Mutable routing substrate for one task.
 
@@ -88,20 +74,19 @@ class ToolGraph:
     that are routable but never invoked as tools.
 
     A task's progress lives in its ``ExecutionTrace``, but a task does write
-    into the graph it runs on: quarantine sets edge weights to infinity, and
-    a demotion wires in its fallback lane (``DemotionOption.extra_edges``).
+    into the graph it runs on: it adds nodes to ``quarantined``, and a
+    demotion wires in its fallback lane (``DemotionOption.extra_edges``).
     A graph that has seen a quarantine or a demotion therefore serves only
-    that one task; give the next task a fresh graph (or a ``copy`` taken
-    before the first task ran).
+    that one task; give the next task a fresh graph.
     """
 
     def __init__(self) -> None:
         self.nodes: set[str] = set()
         self.base_costs: dict[str, float] = {}
-        self._edges: dict[tuple[str, str], Edge] = {}
-        self._out: dict[str, set[str]] = {}
-        self._in: dict[str, set[str]] = {}
+        self._out: dict[str, dict[str, float]] = {}  # src -> {dst: weight}
+        self._in: dict[str, dict[str, float]] = {}  # dst -> {src: weight}
         self.sentinels: set[str] = set()
+        self.quarantined: set[str] = set()
         self.search_count = 0  # shortest_path invocations, for invariance checks
 
     # -- construction -------------------------------------------------
@@ -111,8 +96,8 @@ class ToolGraph:
             raise GraphError("node id must be a non-empty string")
         self.nodes.add(node_id)
         self.base_costs.setdefault(node_id, float(base_cost))
-        self._out.setdefault(node_id, set())
-        self._in.setdefault(node_id, set())
+        self._out.setdefault(node_id, {})
+        self._in.setdefault(node_id, {})
         if sentinel:
             self.sentinels.add(node_id)
 
@@ -122,34 +107,24 @@ class ToolGraph:
         for n in (src, dst):
             if n not in self.nodes:
                 raise UnknownNode(f"edge endpoint {n!r} is not a declared node")
-        w = _check_weight(weight)
-        self._edges[(src, dst)] = Edge(src, dst, w, w)
-        self._out[src].add(dst)
-        self._in[dst].add(src)
-
-    def copy(self) -> "ToolGraph":
-        g = ToolGraph()
-        g.nodes = set(self.nodes)
-        g.base_costs = dict(self.base_costs)
-        g._out = {k: set(v) for k, v in self._out.items()}
-        g._in = {k: set(v) for k, v in self._in.items()}
-        g._edges = {k: Edge(e.src, e.dst, e.base_weight, e.effective_weight) for k, e in self._edges.items()}
-        g.sentinels = set(self.sentinels)
-        return g
+        if not (isinstance(weight, (int, float)) and math.isfinite(weight) and weight > 0):
+            raise NonPositiveWeight(f"edge weight must be finite and > 0, got {weight!r}")
+        self._out[src][dst] = self._in[dst][src] = float(weight)
 
     # -- inspection ---------------------------------------------------
 
     def has_edge(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._edges
+        return dst in self._out.get(src, ())
 
     def edge(self, src: str, dst: str) -> Edge:
-        try:
-            return self._edges[(src, dst)]
-        except KeyError:
-            raise UnknownEdge(f"no edge {src!r} -> {dst!r}") from None
+        if not self.has_edge(src, dst):
+            raise UnknownEdge(f"no edge {src!r} -> {dst!r}")
+        w = self._out[src][dst]
+        blocked = src in self.quarantined or dst in self.quarantined
+        return Edge(src, dst, w, INFINITE if blocked else w)
 
     def edges(self) -> Iterator[Edge]:
-        return iter(self._edges.values())
+        return (self.edge(src, dst) for src, targets in self._out.items() for dst in targets)
 
     def tool_nodes(self) -> list[str]:
         return sorted(self.nodes - self.sentinels)
@@ -159,85 +134,45 @@ class ToolGraph:
             raise UnknownNode(f"unknown node {node!r}")
         return sorted(self._out[node])
 
-    # -- mutation -----------------------------------------------------
-
-    def set_edge_weight(self, src: str, dst: str, weight: float) -> None:
-        edge = self.edge(src, dst)
-        edge.effective_weight = _check_weight(weight, allow_infinite=True)
+    # -- quarantine ---------------------------------------------------
 
     def quarantine_node(self, node: str) -> int:
-        """Set every edge touching ``node`` to infinite weight.
+        """Exclude every edge touching ``node`` from routing.
 
-        Topology is untouched; only effective weights change.  Returns the
-        number of edges actually modified, so a second call returns 0.
+        Returns the number of edges newly excluded, so a second call
+        returns 0.
         """
         if node not in self.nodes:
             raise UnknownNode(f"unknown node {node!r}")
-        changed = 0
-        for dst in self._out[node]:
-            e = self._edges[(node, dst)]
-            if e.effective_weight != INFINITE:
-                e.effective_weight = INFINITE
-                changed += 1
-        for src in self._in[node]:
-            e = self._edges[(src, node)]
-            if e.effective_weight != INFINITE:
-                e.effective_weight = INFINITE
-                changed += 1
-        return changed
+        q = self.quarantined
+        if node in q:
+            return 0
+        q.add(node)
+        return sum(n not in q for n in self._out[node]) + sum(n not in q for n in self._in[node])
 
     def is_quarantined(self, node: str) -> bool:
         if node not in self.nodes:
             raise UnknownNode(f"unknown node {node!r}")
-        touching = [self._edges[(node, d)] for d in self._out[node]]
-        touching += [self._edges[(s, node)] for s in self._in[node]]
-        return bool(touching) and all(e.effective_weight == INFINITE for e in touching)
+        return node in self.quarantined
 
-    def restore_node(self, node: str, weights: Mapping[tuple[str, str], float] | None = None) -> None:
-        """Reset each adjacent edge to a supplied finite weight (or its base)."""
+    def restore_node(self, node: str) -> None:
+        """Lift a quarantine; edges to still-quarantined nodes stay excluded."""
         if node not in self.nodes:
             raise UnknownNode(f"unknown node {node!r}")
-        keys = [(node, d) for d in self._out[node]] + [(s, node) for s in self._in[node]]
-        for key in keys:
-            edge = self._edges[key]
-            w = edge.base_weight if weights is None else weights.get(key, edge.base_weight)
-            edge.effective_weight = _check_weight(w)
+        self.quarantined.discard(node)
 
     # -- search -------------------------------------------------------
 
-    def _distances(self, origin: str, reverse: bool = False) -> dict[str, float]:
-        """Binary-heap Dijkstra over finite-weight edges, O((V+E) log V)."""
-        neighbors = self._in if reverse else self._out
-        dist = {origin: 0.0}
-        heap: list[tuple[float, str]] = [(0.0, origin)]
-        settled: set[str] = set()
-        while heap:
-            cost, node = heappop(heap)
-            if node in settled:
-                continue
-            settled.add(node)
-            for nxt in neighbors[node]:
-                if nxt in settled:
-                    continue
-                key = (nxt, node) if reverse else (node, nxt)
-                w = self._edges[key].effective_weight
-                if w == INFINITE:
-                    continue
-                cand = cost + w
-                if cand < dist.get(nxt, INFINITE):
-                    dist[nxt] = cand
-                    heappush(heap, (cand, nxt))
-        return dist
-
     def shortest_path(self, source: str, goal: str) -> RoutePath | None:
-        """Minimum-cost path over finite-weight edges, or None if no route.
+        """Minimum-cost path over unquarantined edges, or None if no route.
 
-        Ties resolve to the lexicographically smallest node-id sequence:
-        after forward and reverse distance passes, the path is rebuilt by a
-        greedy walk that at each hop takes the smallest-id neighbor still
-        lying on some minimum-cost completion.  Every prefix of an optimal
-        path reaches its endpoint at that endpoint's optimal distance, so
-        the greedy prefix choice is safe.
+        One reverse Dijkstra pass from ``goal`` stops once ``source`` is
+        settled.  Weights are positive, so every node after the source on a
+        minimum-cost path is nearer the goal and already settled.  The path
+        is then rebuilt by a greedy walk that at each hop takes the
+        smallest-id settled neighbor lying on a minimum-cost completion;
+        ties therefore resolve to the lexicographically smallest node-id
+        sequence.
         """
         for n in (source, goal):
             if n not in self.nodes:
@@ -245,26 +180,39 @@ class ToolGraph:
         self.search_count += 1
         if source == goal:
             return RoutePath((source,), 0.0)
-        from_source = self._distances(source)
-        total = from_source.get(goal)
-        if total is None:
+        blocked = self.quarantined
+        if source in blocked or goal in blocked:
             return None
-        to_goal = self._distances(goal, reverse=True)
+        to_goal: dict[str, float] = {}  # settled distances
+        best = {goal: 0.0}
+        heap: list[tuple[float, str]] = [(0.0, goal)]
+        while heap:
+            cost, node = heappop(heap)
+            if node in to_goal:
+                continue
+            to_goal[node] = cost
+            if node == source:
+                break
+            for prev, w in self._in[node].items():
+                if prev in to_goal or prev in blocked:
+                    continue
+                cand = cost + w
+                if cand < best.get(prev, INFINITE):
+                    best[prev] = cand
+                    heappush(heap, (cand, prev))
+        else:
+            return None
         path = [source]
         node = source
-        walked = 0.0
+        total = 0.0
         while node != goal:
-            for nxt in sorted(self._out[node]):
-                w = self._edges[(node, nxt)].effective_weight
-                if w == INFINITE or nxt not in to_goal:
-                    continue
-                if abs(walked + w + to_goal[nxt] - total) < 1e-9:
-                    walked += w
-                    node = nxt
-                    path.append(nxt)
-                    break
-            else:  # pragma: no cover - unreachable: an admissible hop always exists
-                raise GraphError("path reconstruction lost the optimal route")
+            remaining = to_goal[node]
+            targets = self._out[node]
+            node = min(
+                nxt for nxt, w in targets.items() if nxt in to_goal and abs(w + to_goal[nxt] - remaining) < 1e-9
+            )
+            total += targets[node]
+            path.append(node)
         return RoutePath(tuple(path), total)
 
     # -- serialization ------------------------------------------------
@@ -277,7 +225,7 @@ class ToolGraph:
             ],
             "edges": [
                 {"from": e.src, "to": e.dst, "weight": e.base_weight}
-                for e in sorted(self._edges.values(), key=lambda e: (e.src, e.dst))
+                for e in sorted(self.edges(), key=lambda e: (e.src, e.dst))
             ],
         }
         return json.dumps(doc, indent=2)

@@ -10,6 +10,7 @@ microseconds and is fully deterministic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -88,11 +89,29 @@ class MonitorConfig:
 
     @staticmethod
     def from_json(text: str) -> "MonitorConfig":
-        doc = json.loads(text)
-        allowed = set(MonitorConfig.__dataclass_fields__)
-        unknown = set(doc) - allowed
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MonitorError(f"invalid JSON: {exc}") from exc
+        return MonitorConfig.from_dict(doc)
+
+    @staticmethod
+    def from_dict(doc: object) -> "MonitorConfig":
+        if not isinstance(doc, dict):
+            raise MonitorError("monitor settings must be a JSON object")
+        unknown = set(doc) - set(MonitorConfig.__dataclass_fields__)
         if unknown:
             raise MonitorError(f"unknown monitor settings {sorted(unknown)}")
+        for name, value in doc.items():
+            if name == "intent_keywords":
+                ok = isinstance(value, dict) and all(isinstance(x, str) for kv in value.items() for x in kv)
+                rule = "an object mapping keywords to goal ids"
+            else:
+                hi = 1.0 if name.endswith("_priority") else math.inf
+                ok = type(value) in (int, float) and 0.0 <= value <= hi
+                rule = f"a number in [0, {hi:g}]"
+            if not ok:
+                raise MonitorError(f"monitor setting {name} must be {rule}, got {value!r}")
         return MonitorConfig(**doc)
 
 

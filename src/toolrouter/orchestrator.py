@@ -302,10 +302,6 @@ def execute_task(
             for src, dst, w in option.extra_edges:
                 if not graph.has_edge(src, dst):
                     graph.add_edge(src, dst, w)
-            # Freshly wired fallback edges must not resurrect tools the task
-            # already knows are down.
-            for node in sorted(trace.quarantined):
-                graph.quarantine_node(node)
             route = graph.shortest_path(position, option.goal_node)
             if route is not None:
                 goal_node = option.goal_node

@@ -291,9 +291,27 @@ def load_scenarios(override_dir: str | Path | None = None, verify: bool = True) 
 
 def scenario_tool_states(graph: ToolGraph) -> dict[str, ToolState]:
     """Benchmark runs model hard failure: one bad call or probe trips the
-    breaker, matching the static-weights regime the fixtures encode."""
-    cal = ToolCalibration(trip_threshold=1, probe_interval_ms=0)
-    return {t: ToolState(t, cal) for t in graph.tool_nodes()}
+    breaker, matching the static-weights regime the fixtures encode.
+
+    A tool's state is made on first lookup and the dict holds only those
+    made so far, which are the only ones whose breaker can be OPEN.  A task
+    that calls ten tools of a 500-tool graph allocates ten states, not 500.
+    """
+    return _StatesOnDemand(graph.tool_nodes(), ToolCalibration(trip_threshold=1, probe_interval_ms=0))
+
+
+class _StatesOnDemand(dict):
+    def __init__(self, tools: list[str], config: ToolCalibration):
+        self.tools, self.config = frozenset(tools), config
+
+    def __missing__(self, tool: str) -> ToolState:
+        if tool not in self.tools:
+            raise KeyError(tool)
+        state = self[tool] = ToolState(tool, self.config)
+        return state
+
+    def get(self, tool: str, default=None):
+        return self[tool] if tool in self.tools else default
 
 
 def run_self_healing(scenario: Scenario, monitor_config: MonitorConfig | None = None) -> ExecutionTrace:

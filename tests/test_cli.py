@@ -42,6 +42,26 @@ class TestRun:
         assert main(["run", "--scenario", "S1"]) == 0
         assert "ignoring" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ('{"monitor": {"risk_amount_threshold": 1e9,}}', "invalid JSON"),
+            ('{"monitor": {"risk_amount_thresold": 1e9}}', "risk_amount_thresold"),
+            ('{"monitor": {"risk_amount_threshold": "high"}}', "risk_amount_threshold"),
+            ('{"monitor": {"risk_priority": 2}}', "risk_priority"),
+            ('["monitor"]', "JSON object"),
+        ],
+    )
+    def test_env_config_errors_are_one_line(self, tmp_path, monkeypatch, capsys, text, names):
+        cfg = tmp_path / "broken.json"
+        cfg.write_text(text)
+        monkeypatch.setenv("TOOLROUTER_CONFIG", str(cfg))
+        assert main(["run", "--scenario", "S4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and str(cfg) in line and names in line
+
 
 class TestBench:
     def test_full_suite_exits_clean(self, capsys):

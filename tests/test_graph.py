@@ -58,6 +58,12 @@ class TestShortestPath:
         checked = 0
         for _ in range(300):
             g, src, dst = make_random_graph(rng)
+            for v in sorted(g.nodes):
+                if rng.random() < 0.2:
+                    g.quarantine_node(v)
+            # An edge wired in after the quarantine, as a demotion lane is.
+            a, b = rng.sample(sorted(g.nodes), 2)
+            g.add_edge(a, b, rng.choice([1.0, 2.0, 0.5]))
             expected = brute_force_shortest(g, src, dst)
             got = g.shortest_path(src, dst)
             if expected is None:
@@ -166,55 +172,14 @@ class TestRestoreAndReweight:
         support_graph.restore_node("stripe")
         assert support_graph.shortest_path(START, "goal_refund") == original
 
-    def test_restore_with_doubled_weights_matches_oracle(self, support_graph):
-        keys = [("crm", "stripe"), ("stripe", "email"), ("stripe", "sms")]
-        doubled = {k: support_graph.edge(*k).base_weight * 2 for k in keys}
-        support_graph.quarantine_node("stripe")
-        support_graph.restore_node("stripe", doubled)
-        for k in keys:
-            assert support_graph.edge(*k).effective_weight == pytest.approx(doubled[k])
-        expected = brute_force_shortest(support_graph, START, "goal_refund")
-        got = support_graph.shortest_path(START, "goal_refund")
-        assert got.total_cost == pytest.approx(expected[0])
-        assert got.nodes == expected[1]
-
     def test_restore_untouched_node_changes_nothing(self, support_graph):
         before = {(e.src, e.dst): e.effective_weight for e in support_graph.edges()}
         support_graph.restore_node("razorpay")
         assert {(e.src, e.dst): e.effective_weight for e in support_graph.edges()} == before
 
-    def test_restore_rejects_nonpositive(self, support_graph):
-        with pytest.raises(NonPositiveWeight):
-            support_graph.restore_node("stripe", {("crm", "stripe"): 0.0})
-
-    def test_set_edge_weight_infinite_excludes_only_that_edge(self, support_graph):
-        support_graph.set_edge_weight("crm", "stripe", INFINITE)
-        expected = brute_force_shortest(support_graph, START, "goal_refund")
-        got = support_graph.shortest_path(START, "goal_refund")
-        assert got.nodes == expected[1]
-        assert "stripe" not in got.nodes
-
-    def test_set_edge_weight_same_value_is_noop(self, support_graph):
-        before = support_graph.shortest_path(START, "goal_refund")
-        support_graph.set_edge_weight("crm", "stripe", 1.0)
-        assert support_graph.shortest_path(START, "goal_refund") == before
-
-    def test_cheap_edge_enters_the_route(self, support_graph):
-        support_graph.set_edge_weight("stripe", "sms", 0.1)  # 3.1 total beats 4.0
-        expected = brute_force_shortest(support_graph, START, "goal_refund")
-        got = support_graph.shortest_path(START, "goal_refund")
-        assert got.nodes == expected[1]
-        assert "sms" in got.nodes
-
     def test_unknown_edge(self, support_graph):
         with pytest.raises(UnknownEdge):
-            support_graph.set_edge_weight("email", "crm", 2.0)
-
-    def test_edge_weight_validation(self, support_graph):
-        with pytest.raises(NonPositiveWeight):
-            support_graph.set_edge_weight("crm", "stripe", -1.0)
-        with pytest.raises(NonPositiveWeight):
-            support_graph.set_edge_weight("crm", "stripe", float("nan"))
+            support_graph.edge("email", "crm")
 
 
 class TestConstruction:
@@ -230,11 +195,13 @@ class TestConstruction:
         with pytest.raises(UnknownNode):
             g.add_edge("a", "missing", 1.0)
 
-    def test_copy_is_independent(self, support_graph):
-        clone = support_graph.copy()
-        clone.quarantine_node("stripe")
-        assert not support_graph.is_quarantined("stripe")
-        assert clone.is_quarantined("stripe")
+    def test_edge_weight_validation(self):
+        g = ToolGraph()
+        g.add_node("a")
+        g.add_node("b")
+        for bad in (0.0, -1.0, float("nan"), INFINITE):
+            with pytest.raises(NonPositiveWeight):
+                g.add_edge("a", "b", bad)
 
 
 class TestLoader:

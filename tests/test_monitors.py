@@ -164,6 +164,10 @@ class TestValidation:
         assert cfg.risk_amount_threshold == 500.0
         with pytest.raises(MonitorError):
             MonitorConfig.from_json('{"bogus": 1}')
+        with pytest.raises(MonitorError, match="invalid JSON"):
+            MonitorConfig.from_json('{"risk_priority": ')
+        with pytest.raises(MonitorError, match="intent_keywords"):
+            MonitorConfig.from_json('{"intent_keywords": {"refund": 3}}')
 
     def test_monitors_have_no_reasoner_dependency(self):
         # Monitors must stay cheap: the module imports nothing that could

@@ -20,6 +20,7 @@ from toolrouter.scenarios import (
     fixture_digest,
     load_scenarios,
     run_self_healing,
+    scenario_tool_states,
 )
 from toolrouter.topologies import START, TopologyKind, build_topology
 
@@ -154,6 +155,17 @@ class TestFaultSchedules:
         assert invoker.invoke("stripe", clock).success  # attempt 0
         assert invoker.invoke("crm", clock).success  # attempt 1
         assert not invoker.invoke("stripe", clock).success  # attempts >= 2
+
+    def test_tool_states_are_made_on_first_lookup(self):
+        states = scenario_tool_states(build_topology(TopologyKind.LINEAR_PIPELINE).fresh_graph())
+        assert dict(states) == {}  # nothing allocated up front
+        stripe = states.get("stripe")
+        assert stripe is states["stripe"] and stripe.breaker.trip_threshold == 1
+        assert states["crm"].tool == "crm"
+        assert sorted(states) == ["crm", "stripe"]
+        assert states.get(START) is None and states.get("nope", 0) == 0  # sentinels and unknowns have none
+        with pytest.raises(KeyError):
+            states["nope"]
 
 
 class TestEmergentColumns:
