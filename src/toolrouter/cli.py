@@ -47,8 +47,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def _env_monitor_config() -> MonitorConfig | None:
     """Optional monitor overrides from the TOOLROUTER_CONFIG file
-    (JSON object with a "monitor" section).  A file that does not parse, or
-    a section with an unknown key, raises ``MonitorError`` naming the file."""
+    (JSON object with a "monitor" section).  A path that cannot be read as
+    text (a directory, say), a file that does not parse, or a section with
+    an unknown key raises ``MonitorError`` naming the file."""
     path = os.environ.get(ENV_CONFIG)
     if not path:
         return None
@@ -56,7 +57,11 @@ def _env_monitor_config() -> MonitorConfig | None:
         print(f"warning: {ENV_CONFIG}={path} does not exist; ignoring", file=sys.stderr)
         return None
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MonitorError(f"{ENV_CONFIG}={path}: cannot read the file: {exc}") from exc
+    try:
+        doc = json.loads(text)
         if not isinstance(doc, dict):
             raise MonitorError("expected a JSON object")
         section = doc.get("monitor")

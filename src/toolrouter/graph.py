@@ -9,7 +9,10 @@ settled.  Among equal-cost routes the lexicographically smallest node-id
 sequence wins, so identical graph states always produce identical paths.
 
 Every query recomputes from scratch rather than caching, so the route
-always reflects the current quarantine set.
+always reflects the current quarantine set.  Graphs made by ``fork`` share
+their nodes and edges until one of them adds a node or an edge, which
+copies them first, so a quarantine or a demotion lane stays with the graph
+that made it.
 """
 
 from __future__ import annotations
@@ -69,15 +72,18 @@ class RoutePath:
 class ToolGraph:
     """Mutable routing substrate for one task.
 
-    Single writer per instance; instances share no state, so distinct graphs
-    may live on distinct threads.  ``sentinels`` marks start/goal markers
+    Single writer per instance.  ``sentinels`` marks start/goal markers
     that are routable but never invoked as tools.
 
     A task's progress lives in its ``ExecutionTrace``, but a task does write
     into the graph it runs on: it adds nodes to ``quarantined``, and a
     demotion wires in its fallback lane (``DemotionOption.extra_edges``).
-    A graph that has seen a quarantine or a demotion therefore serves only
-    that one task; give the next task a fresh graph.
+    ``fork`` gives each task its own graph over the same nodes and edges
+    without copying them: every graph has its own ``quarantined`` set and
+    ``search_count``, and the first ``add_node`` or ``add_edge`` on a
+    graph that shares its adjacency copies it, so the write reaches no
+    other graph.  Forks only read what they share, so they may live on
+    distinct threads.
     """
 
     def __init__(self) -> None:
@@ -86,29 +92,55 @@ class ToolGraph:
         self._out: dict[str, dict[str, float]] = {}  # src -> {dst: weight}
         self._in: dict[str, dict[str, float]] = {}  # dst -> {src: weight}
         self.sentinels: set[str] = set()
+        self._shared = False  # another graph holds the containers above
         self.quarantined: set[str] = set()
         self.search_count = 0  # shortest_path invocations, for invariance checks
+
+    def fork(self) -> ToolGraph:
+        """A graph over this graph's nodes and edges, with nothing
+        quarantined and no searches counted.  The two share adjacency until
+        either adds a node or an edge."""
+        g = ToolGraph()
+        g.nodes, g.base_costs, g.sentinels, g._out, g._in = (
+            self.nodes, self.base_costs, self.sentinels, self._out, self._in
+        )
+        g._shared = self._shared = True
+        return g
+
+    def _unshare(self) -> None:
+        self.nodes = set(self.nodes)
+        self.base_costs = dict(self.base_costs)
+        self.sentinels = set(self.sentinels)
+        self._out = {n: dict(targets) for n, targets in self._out.items()}
+        self._in = {n: dict(sources) for n, sources in self._in.items()}
+        self._shared = False
 
     # -- construction -------------------------------------------------
 
     def add_node(self, node_id: str, base_cost: float = 1.0, sentinel: bool = False) -> None:
         if not node_id or not isinstance(node_id, str):
             raise GraphError("node id must be a non-empty string")
-        self.nodes.add(node_id)
-        self.base_costs.setdefault(node_id, float(base_cost))
-        self._out.setdefault(node_id, {})
-        self._in.setdefault(node_id, {})
+        if self._shared:
+            self._unshare()
+        if node_id not in self.nodes:
+            self.nodes.add(node_id)
+            self.base_costs[node_id] = float(base_cost)
+            self._out[node_id] = {}
+            self._in[node_id] = {}
         if sentinel:
             self.sentinels.add(node_id)
 
     def add_edge(self, src: str, dst: str, weight: float) -> None:
         if src == dst:
             raise GraphError(f"self-loop on {src!r} not allowed")
-        for n in (src, dst):
-            if n not in self.nodes:
-                raise UnknownNode(f"edge endpoint {n!r} is not a declared node")
-        if not (isinstance(weight, (int, float)) and math.isfinite(weight) and weight > 0):
+        if src not in self.nodes:
+            raise UnknownNode(f"edge endpoint {src!r} is not a declared node")
+        if dst not in self.nodes:
+            raise UnknownNode(f"edge endpoint {dst!r} is not a declared node")
+        if not (isinstance(weight, (int, float)) and 0 < weight < INFINITE):
             raise NonPositiveWeight(f"edge weight must be finite and > 0, got {weight!r}")
+        if self._shared:
+            self._unshare()
         self._out[src][dst] = self._in[dst][src] = float(weight)
 
     # -- inspection ---------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 from .calibration import BreakerPhase, ToolState
@@ -27,13 +29,18 @@ class EmptySignalSet(MonitorError):
 
 # Fixed tie-break order: earlier source wins on equal priority.
 SOURCE_ORDER = ("tool_health", "risk", "intent", "memory", "progress")
+_RANK = {source: rank for rank, source in enumerate(SOURCE_ORDER)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonitorSignal:
+    """One monitor's verdict.  Signals that depend only on the config are
+    built once per ``MonitorConfig`` and shared by every sweep, so their
+    payloads are read-only mappings, with tuples for lists."""
+
     source: str
     priority: float
-    payload: dict
+    payload: Mapping
 
     def __post_init__(self):
         if not 0.0 <= self.priority <= 1.0:
@@ -42,7 +49,7 @@ class MonitorSignal:
             raise MonitorError(f"unknown monitor source {self.source!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestContext:
     """Read-only snapshot handed to every monitor.
 
@@ -114,13 +121,41 @@ class MonitorConfig:
                 raise MonitorError(f"monitor setting {name} must be {rule}, got {value!r}")
         return MonitorConfig(**doc)
 
+    # Signals that depend on nothing but the config are built on first use
+    # and kept on the instance; copies and pickles carry only the fields.
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    @cached_property
+    def _intents(self) -> tuple[tuple[str, MonitorSignal], ...]:
+        """(keyword, match signal) pairs in keyword order."""
+        return tuple(
+            (keyword, MonitorSignal("intent", self.intent_match_priority, MappingProxyType({"intent": goal})))
+            for keyword, goal in sorted(self.intent_keywords.items())
+        )
+
+    @cached_property
+    def _idle(self) -> dict[str, MonitorSignal]:
+        return {
+            source: MonitorSignal(source, priority, MappingProxyType(payload))
+            for source, priority, payload in (
+                ("intent", self.intent_fallback_priority, {"intent": None}),
+                ("risk", self.risk_idle_priority, {"flags": ()}),
+                ("tool_health", self.tool_health_idle_priority, {"tools": ()}),
+                ("memory", self.memory_priority, {"prior_interactions": 0}),
+            )
+        }
+
+
+DEFAULT_MONITOR_CONFIG = MonitorConfig()
+
 
 def _intent(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
     lowered = ctx.text.lower()
-    for keyword, goal in sorted(cfg.intent_keywords.items()):
+    for keyword, signal in cfg._intents:
         if keyword in lowered:
-            return MonitorSignal("intent", cfg.intent_match_priority, {"intent": goal})
-    return MonitorSignal("intent", cfg.intent_fallback_priority, {"intent": None})
+            return signal
+    return cfg._idle["intent"]
 
 
 def _risk(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
@@ -131,22 +166,20 @@ def _risk(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
         flagged.append({"kind": "score", "value": ctx.risk_score, "threshold": cfg.risk_score_threshold})
     if flagged:
         return MonitorSignal("risk", cfg.risk_priority, {"flags": flagged})
-    return MonitorSignal("risk", cfg.risk_idle_priority, {"flags": []})
+    return cfg._idle["risk"]
 
 
 def _tool_health(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
-    down = set(ctx.failed_tools)
-    for tool, state in ctx.tool_states.items():
-        if state.breaker.phase is BreakerPhase.OPEN:
-            down.add(tool)
-    alerts = sorted(down - set(ctx.quarantined))
-    if alerts:
-        return MonitorSignal("tool_health", cfg.tool_health_alert_priority, {"tools": alerts})
-    return MonitorSignal("tool_health", cfg.tool_health_idle_priority, {"tools": []})
+    down = [tool for tool, state in ctx.tool_states.items() if state.breaker.phase is BreakerPhase.OPEN]
+    if down or ctx.failed_tools:
+        alerts = sorted(set(ctx.failed_tools).union(down).difference(ctx.quarantined))
+        if alerts:
+            return MonitorSignal("tool_health", cfg.tool_health_alert_priority, {"tools": alerts})
+    return cfg._idle["tool_health"]
 
 
 def _memory(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
-    return MonitorSignal("memory", cfg.memory_priority, {"prior_interactions": 0})
+    return cfg._idle["memory"]
 
 
 def _progress(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
@@ -169,13 +202,17 @@ def run_all_monitors(ctx: RequestContext, cfg: MonitorConfig | None = None) -> l
     evaluation order; monitors are pure, so evaluating them concurrently or
     in any permutation yields the same list.
     """
-    cfg = cfg or MonitorConfig()
-    produced = {name: fn(ctx, cfg) for name, fn in _MONITORS.items()}
-    return [produced[name] for name in SOURCE_ORDER]
+    if cfg is None:
+        cfg = DEFAULT_MONITOR_CONFIG
+    return [_MONITORS[name](ctx, cfg) for name in SOURCE_ORDER]
 
 
 def compete(signals: list[MonitorSignal]) -> MonitorSignal:
     """Argmax over priority; ties resolve by fixed source order."""
     if not signals:
         raise EmptySignalSet("no signals to arbitrate")
-    return max(signals, key=lambda s: (s.priority, -SOURCE_ORDER.index(s.source)))
+    best = signals[0]
+    for s in signals:
+        if s.priority > best.priority or (s.priority == best.priority and _RANK[s.source] < _RANK[best.source]):
+            best = s
+    return best

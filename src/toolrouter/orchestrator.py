@@ -22,9 +22,9 @@ from typing import Mapping, Protocol
 
 from .calibration import SimClock, ToolState
 from .graph import RoutePath, ToolGraph
-from .monitors import MonitorConfig, RequestContext, compete, run_all_monitors
+from .monitors import DEFAULT_MONITOR_CONFIG, MonitorConfig, RequestContext, compete, run_all_monitors
 
-_MAX_LOOP = 10_000  # hard stop against pathological schedules
+_MAX_LOOP = 10_000  # route passes before a run escalates as "loop_bound"
 
 
 class OrchestratorError(Exception):
@@ -224,28 +224,29 @@ def execute_task(
     if start not in graph.nodes:
         raise MalformedGoal(f"start node {start!r} not in graph")
 
-    cfg = monitor_config or MonitorConfig()
-    tools = graph.tool_nodes()
+    cfg = monitor_config or DEFAULT_MONITOR_CONFIG
     states: Mapping[str, ToolState] = tool_states if tool_states is not None else {
-        t: ToolState(t) for t in tools
+        t: ToolState(t) for t in graph.tool_nodes()
     }
+    tool_count = max(1, len(graph.nodes) - len(graph.sentinels))
     trace = ExecutionTrace(goal_id=goal.id, final_goal=goal.id)
     position = start  # last successfully completed node
     goal_node = goal.goal_node
     ladder_index = 0  # ladder options before this index have been tried
+    successes = 0  # successful tool calls so far
 
     def sweep(failed_batch: tuple[str, ...] = ()):
         if prober is not None:
             opened = prober.scan(clock, states, attempts=len(trace.tool_calls))
             if opened:
                 trace.log(clock.now, "probe_detected", tools=opened)
-        visible = len([c for c in trace.tool_calls if c.success]) >= request.risk_visible_after
+        visible = successes >= request.risk_visible_after
         ctx = RequestContext(
             text=request.text,
             goal=trace.final_goal,
             amount=request.amount if visible else None,
             risk_score=request.risk_score if visible else None,
-            progress=min(1.0, len(trace.completed) / max(1, len(tools))),
+            progress=min(1.0, len(trace.completed) / tool_count),
             tool_states=states,
             failed_tools=failed_batch,
             quarantined=frozenset(trace.quarantined),
@@ -268,6 +269,11 @@ def execute_task(
             graph.quarantine_node(n)
             trace.quarantined.add(n)
         trace.log(clock.now, "quarantine", tools=sorted(nodes))
+
+    def escalate(kind: str, note: str) -> None:
+        trace.status = TraceStatus.ESCALATED
+        trace.resolution = {"kind": kind, "note": note}
+        trace.log(clock.now, "escalated", kind=kind, note=note)
 
     def consult(kind: str, detail: str) -> RoutePath | None:
         """The one reasoner call site.  A demotion query answered with an
@@ -312,10 +318,7 @@ def execute_task(
             trace.null_routes += 1
             trace.log(clock.now, "demotion_unroutable", goal=option.goal_id)
             kind, detail = "escalation", f"fallback goal {option.goal_id} unreachable from {position}"
-        resolution = "handoff" if kind == "demotion" else kind
-        trace.status = TraceStatus.ESCALATED
-        trace.resolution = {"kind": resolution, "note": note}
-        trace.log(clock.now, "escalated", kind=resolution, note=note)
+        escalate("handoff" if kind == "demotion" else kind, note)
         return None
 
     def recover(batch: list[str], detail: str) -> RoutePath | None:
@@ -379,6 +382,7 @@ def execute_task(
                     batch = alerts(sweep(failed_batch=(node,))) or [node]
                     path = recover(batch, f"failure of {node} exhausted the route")
                     break
+                successes += 1
                 position = node
             trace.completed.add(node)
         else:
@@ -389,4 +393,5 @@ def execute_task(
         if path is None:
             return trace
 
-    raise OrchestratorError("execution did not terminate within the loop bound")
+    escalate("loop_bound", f"route pass bound {_MAX_LOOP} reached before a terminal state")
+    return trace

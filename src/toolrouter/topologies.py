@@ -7,8 +7,9 @@ the full backup route (razorpay + sms) at 6.0.
 
 Fallback goals ("demotions") get their own goal markers.  Where a demoted
 goal needs routes the primary goal must never see (travel's skip-the-hotel
-lane), those edges live on the demotion option and are wired into the graph
-only when the goal actually demotes.
+lane), those edges live on the demotion option and are wired into a task's
+graph only when its goal actually demotes.  Each topology's graph is built
+once, at import; ``Topology.fresh_graph`` hands every task a fork of it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ class Topology:
     required_outcomes: tuple[str, ...]
 
     def fresh_graph(self) -> ToolGraph:
-        return _BUILDERS[self.kind]()
+        """A graph for one task.  Every graph of a topology shares one
+        adjacency, built and validated once; a task's quarantines and
+        demotion lanes stay in its own graph (see ``ToolGraph.fork``)."""
+        return _GRAPHS[self.kind].fork()
 
 
 def _support_graph() -> ToolGraph:
@@ -112,10 +116,10 @@ def _moderation_graph() -> ToolGraph:
     return g
 
 
-_BUILDERS = {
-    TopologyKind.LINEAR_PIPELINE: _support_graph,
-    TopologyKind.DEPENDENCY_DAG: _travel_graph,
-    TopologyKind.PARALLEL_FANOUT: _moderation_graph,
+_GRAPHS = {
+    TopologyKind.LINEAR_PIPELINE: _support_graph(),
+    TopologyKind.DEPENDENCY_DAG: _travel_graph(),
+    TopologyKind.PARALLEL_FANOUT: _moderation_graph(),
 }
 
 # Fallback lane for "book what we can without lodging": flight connects

@@ -62,6 +62,17 @@ class TestRun:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and str(cfg) in line and names in line
 
+    @pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff\xfe{}")])
+    def test_env_config_unreadable_path_is_one_line(self, tmp_path, monkeypatch, capsys, make):
+        cfg = tmp_path / "config.json"
+        make(cfg)
+        monkeypatch.setenv("TOOLROUTER_CONFIG", str(cfg))
+        assert main(["run", "--scenario", "S1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and str(cfg) in line and "cannot read" in line
+
 
 class TestBench:
     def test_full_suite_exits_clean(self, capsys):

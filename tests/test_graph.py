@@ -8,6 +8,7 @@ import pytest
 from oracle import brute_force_shortest
 from toolrouter.graph import (
     INFINITE,
+    GraphError,
     GraphFormatError,
     NonPositiveWeight,
     ToolGraph,
@@ -202,6 +203,39 @@ class TestConstruction:
         for bad in (0.0, -1.0, float("nan"), INFINITE):
             with pytest.raises(NonPositiveWeight):
                 g.add_edge("a", "b", bad)
+
+    def test_edge_checks_run_in_order(self):
+        g = ToolGraph()
+        g.add_node("a")
+        with pytest.raises(GraphError, match="self-loop on 'x'"):
+            g.add_edge("x", "x", -1.0)
+        with pytest.raises(UnknownNode, match="'x' is not a declared node"):
+            g.add_edge("x", "y", -1.0)
+        with pytest.raises(UnknownNode, match="'y' is not a declared node"):
+            g.add_edge("a", "y", -1.0)
+
+
+class TestFork:
+    def test_fork_starts_clear_of_the_origin_task_state(self, support_graph):
+        support_graph.quarantine_node("stripe")
+        support_graph.shortest_path(START, "goal_refund")
+        fork = support_graph.fork()
+        assert fork.quarantined == set() and fork.search_count == 0
+        assert fork.to_json() == support_graph.to_json()
+
+    def test_writes_on_either_side_stay_on_that_side(self, support_graph):
+        origin = support_graph.to_json()
+        a, b = support_graph.fork(), support_graph.fork()
+        a.add_edge("crm", "email", 1.0)
+        a.add_node("extra", sentinel=True)
+        b.add_edge("stripe", "goal_refund", 5.0)
+        support_graph.add_edge("razorpay", "goal_store_credit", 1.0)
+        assert a.has_edge("crm", "email") and not b.has_edge("crm", "email")
+        assert "extra" in a.sentinels and "extra" not in b.nodes | support_graph.nodes
+        assert b.has_edge("stripe", "goal_refund") and not a.has_edge("stripe", "goal_refund")
+        assert not a.has_edge("razorpay", "goal_store_credit") and not b.has_edge("razorpay", "goal_store_credit")
+        assert not support_graph.has_edge("crm", "email") and not support_graph.has_edge("stripe", "goal_refund")
+        assert support_graph.fork().to_json() != origin  # the origin's own write stays with it
 
 
 class TestLoader:

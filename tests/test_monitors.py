@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -168,6 +170,14 @@ class TestValidation:
             MonitorConfig.from_json('{"risk_priority": ')
         with pytest.raises(MonitorError, match="intent_keywords"):
             MonitorConfig.from_json('{"intent_keywords": {"refund": 3}}')
+
+    def test_used_config_copies_and_pickles(self):
+        # the signals a config builds on first use stay out of its state
+        cfg = MonitorConfig(risk_amount_threshold=500.0)
+        reference = run_all_monitors(ctx(), cfg)
+        for twin in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert twin == cfg
+            assert run_all_monitors(ctx(), twin) == reference
 
     def test_monitors_have_no_reasoner_dependency(self):
         # Monitors must stay cheap: the module imports nothing that could

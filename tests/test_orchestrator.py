@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import random
 
@@ -8,7 +9,8 @@ import pytest
 from toolrouter.bench import random_schedule
 from toolrouter.calibration import SimClock
 from toolrouter.graph import RoutePath
-from toolrouter.monitors import MonitorConfig
+from toolrouter import orchestrator
+from toolrouter.monitors import MonitorConfig, RequestContext, run_all_monitors
 from toolrouter.orchestrator import (
     DemotedGoal,
     Escalate,
@@ -304,6 +306,34 @@ class TestTaskStateBelongsToTheTask:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_signal_payload_writes_do_not_reach_later_sweeps(self):
+        # Config-only signals are built once per MonitorConfig and shared by
+        # every sweep, so writing into one must not reach the next.
+        ctx = RequestContext(text="refund order 5", goal="issue_refund")
+        expected = run_all_monitors(ctx, MonitorConfig())  # a config of its own
+        before, _ = run_support(down={"stripe"})
+        for signal in run_all_monitors(ctx):
+            for key in list(signal.payload):
+                with contextlib.suppress(AttributeError):
+                    signal.payload[key].append("crm")
+                with contextlib.suppress(TypeError):
+                    signal.payload[key] = ["crm"]
+        assert run_all_monitors(ctx) == expected
+        after, _ = run_support(down={"stripe"})
+        assert after.to_json() == before.to_json()
+
+
+class TestLoopBound:
+    def test_exhausted_bound_escalates_without_a_reasoner_call(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "_MAX_LOOP", 1)  # stripe's failure needs a second pass
+        trace, _ = run_support(down={"stripe"})
+        assert trace.status is TraceStatus.ESCALATED
+        assert trace.llm_calls == 0
+        assert trace.resolution == {"kind": "loop_bound", "note": "route pass bound 1 reached before a terminal state"}
+        last = trace.events[-1]
+        assert last["event"] == "escalated" and last["kind"] == "loop_bound" and "bound 1" in last["note"]
+        assert [ev["event"] for ev in trace.events].count("reroute") == 1
 
 
 RECOMPUTE_EVENTS = ("reroute", "route_exhausted")
