@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Per-tool calibration: telemetry windows, the circuit breaker lifecycle,
-and the composite weight the router actually routes on.
+and the composite weight telemetry gives a tool.  Routing does not read
+this weight yet: search runs on the graph's fixed edge costs.
 """
 
 from toolrouter import SimClock, ToolCalibration, ToolState

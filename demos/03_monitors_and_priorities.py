@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Five cheap monitors score every request; the single highest-priority
+"""Three cheap monitors score every request; the single highest-priority
 signal decides what the orchestrator pays attention to.  No inference
 anywhere: regex, thresholds and breaker lookups only.
 """

@@ -55,7 +55,6 @@ from .scenarios import (
     Scenario,
     ScheduledInvoker,
     ScheduledProber,
-    apply_fault_schedule,
     load_scenarios,
     run_self_healing,
 )

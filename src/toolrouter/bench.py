@@ -433,12 +433,13 @@ def measure_recovery_latency(repetitions: int = 200) -> dict:
 
 
 _FAILURE_KINDS = ("timeout", "error_response", "connection_refused")
+_MAX_DOWN = 5  # most tools one random schedule takes down
 
 
-def random_schedule(kind: TopologyKind, rng: random.Random, max_down: int = 5) -> FaultSchedule:
+def random_schedule(kind: TopologyKind, rng: random.Random) -> FaultSchedule:
     topo = build_topology(kind)
     tools = topo.fresh_graph().tool_nodes()
-    count = rng.randint(0, min(max_down, len(tools)))
+    count = rng.randint(0, min(_MAX_DOWN, len(tools)))
     chosen = rng.sample(tools, count)
     entries = []
     for tool in chosen:

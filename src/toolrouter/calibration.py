@@ -13,13 +13,15 @@ Factor ranges:
     rate_limit    1.0 .. inf   (spikes as quota runs out)
     availability  1.0 or inf   (infinite exactly while the breaker is OPEN)
 
+The breaker feeds the tool_health monitor; the weight is not yet read by
+routing, whose search runs on the graph's fixed edge costs.
+
 All timing runs off an explicit simulated clock; wall time is never read,
 so any sequence of events replays bit-identically.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -79,19 +81,15 @@ class TelemetryWindow:
     """Bounded FIFO of call samples: at most 100 entries, none older than
     15 simulated minutes.  Eviction happens on insert and on read."""
 
-    def __init__(self, capacity: int = WINDOW_CAPACITY, horizon_ms: int = WINDOW_HORIZON_MS):
-        self.capacity = capacity
-        self.horizon_ms = horizon_ms
-        self._samples: deque[Sample] = deque()
+    def __init__(self):
+        self._samples: deque[Sample] = deque(maxlen=WINDOW_CAPACITY)
 
     def append(self, now_ms: int, latency_ms: float, success: bool) -> None:
         self._evict(now_ms)
         self._samples.append(Sample(now_ms, latency_ms, success))
-        while len(self._samples) > self.capacity:
-            self._samples.popleft()
 
     def _evict(self, now_ms: int) -> None:
-        cutoff = now_ms - self.horizon_ms
+        cutoff = now_ms - WINDOW_HORIZON_MS
         while self._samples and self._samples[0].at_ms < cutoff:
             self._samples.popleft()
 
@@ -246,51 +244,10 @@ class ToolCalibration:
 
     trip_threshold: int = 3
     cooldown_ms: int = 10_000
-    probe_interval_ms: int = 10_000
     ramp_length: int = 5
     ramp_start_multiplier: float = 4.0
     nominal_latency_ms: float = 200.0
     base_cost: float = 1.0
-
-
-# Per setting: the JSON number type it takes and the rule its value meets.
-_SETTING_RULES = {
-    "trip_threshold": (int, ">= 1", lambda v: v >= 1),
-    "cooldown_ms": (int, ">= 0", lambda v: v >= 0),
-    "probe_interval_ms": (int, ">= 0", lambda v: v >= 0),
-    "ramp_length": (int, ">= 0", lambda v: v >= 0),
-    "ramp_start_multiplier": (float, "in [1, inf)", lambda v: 1.0 <= v < INFINITE),
-    "nominal_latency_ms": (float, "in (0, inf)", lambda v: 0.0 < v < INFINITE),
-    "base_cost": (float, "in [%g, %g]" % BASE_COST_RANGE, lambda v: BASE_COST_RANGE[0] <= v <= BASE_COST_RANGE[1]),
-}
-
-
-def _setting(tool: str, name: str, value) -> int | float:
-    kind, rule, ok = _SETTING_RULES[name]
-    if type(value) not in (kind, int) or not ok(value):
-        raise CalibrationError(f"{tool}: {name} must be {kind.__name__} {rule}, got {value!r}")
-    return kind(value)
-
-
-def load_calibration_config(text: str) -> dict[str, ToolCalibration]:
-    """Parse the optional per-tool calibration file (JSON object keyed by
-    tool id; all fields optional).  Bad JSON, unknown keys and bad values
-    raise ``CalibrationError`` naming the tool and the field."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CalibrationError(f"invalid calibration JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CalibrationError("calibration config must be a JSON object")
-    out: dict[str, ToolCalibration] = {}
-    for tool, fields_in in doc.items():
-        if not isinstance(fields_in, dict):
-            raise CalibrationError(f"{tool}: expected an object of settings")
-        unknown = set(fields_in) - set(_SETTING_RULES)
-        if unknown:
-            raise CalibrationError(f"{tool}: unknown settings {sorted(unknown)}")
-        out[tool] = ToolCalibration(**{k: _setting(tool, k, v) for k, v in fields_in.items()})
-    return out
 
 
 class ToolState:
@@ -311,7 +268,6 @@ class ToolState:
         )
         self.quota_remaining = 1.0
         self._last_event_ms = 0
-        self._next_probe_at = self.config.probe_interval_ms
 
     def factors(self, now_ms: int) -> WeightFactors:
         return WeightFactors(
@@ -341,13 +297,6 @@ class ToolState:
         self.window.append(clock.now, latency_ms, success)
         self.breaker.on_probe(clock.now, success)
         self._last_event_ms = clock.now
-
-    def probe_due(self, now_ms: int) -> bool:
-        return now_ms >= self._next_probe_at
-
-    def mark_probed(self, now_ms: int) -> None:
-        interval = max(1, self.config.probe_interval_ms)
-        self._next_probe_at = now_ms + interval
 
     def recovery_weight(self, now_ms: int) -> float:
         """Telemetry weight scaled by the post-recovery ramp.

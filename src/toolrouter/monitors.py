@@ -1,9 +1,9 @@
 """Parallel health monitors and the priority competition.
 
-Five monitors (intent, risk, tool_health, memory, progress) each score the
-current request context; the orchestrator acts on the single highest-priority
-signal.  Every monitor is a plain function of a read-only snapshot: regex
-and threshold checks only, no model inference anywhere, so a sweep costs
+Three monitors (intent, risk, tool_health) each score the current request
+context; the orchestrator acts on the single highest-priority signal.
+Every monitor is a plain function of a read-only snapshot: regex and
+threshold checks only, no model inference anywhere, so a sweep costs
 microseconds and is fully deterministic.
 """
 
@@ -28,7 +28,7 @@ class EmptySignalSet(MonitorError):
 
 
 # Fixed tie-break order: earlier source wins on equal priority.
-SOURCE_ORDER = ("tool_health", "risk", "intent", "memory", "progress")
+SOURCE_ORDER = ("tool_health", "risk", "intent")
 _RANK = {source: rank for rank, source in enumerate(SOURCE_ORDER)}
 
 
@@ -63,7 +63,6 @@ class RequestContext:
     goal: str
     amount: float | None = None
     risk_score: float | None = None
-    progress: float = 0.0
     tool_states: Mapping[str, ToolState] = field(default_factory=dict)
     failed_tools: tuple[str, ...] = ()
     quarantined: frozenset[str] = frozenset()
@@ -71,8 +70,6 @@ class RequestContext:
     def __post_init__(self):
         if self.amount is not None and self.amount < 0:
             raise MonitorError("amount must be >= 0")
-        if not 0.0 <= self.progress <= 1.0:
-            raise MonitorError("progress must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -91,8 +88,6 @@ class MonitorConfig:
     risk_idle_priority: float = 0.05
     tool_health_alert_priority: float = 0.99
     tool_health_idle_priority: float = 0.10
-    memory_priority: float = 0.20
-    progress_priority: float = 0.15
 
     @staticmethod
     def from_json(text: str) -> "MonitorConfig":
@@ -142,7 +137,6 @@ class MonitorConfig:
                 ("intent", self.intent_fallback_priority, {"intent": None}),
                 ("risk", self.risk_idle_priority, {"flags": ()}),
                 ("tool_health", self.tool_health_idle_priority, {"tools": ()}),
-                ("memory", self.memory_priority, {"prior_interactions": 0}),
             )
         }
 
@@ -178,20 +172,10 @@ def _tool_health(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
     return cfg._idle["tool_health"]
 
 
-def _memory(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
-    return cfg._idle["memory"]
-
-
-def _progress(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
-    return MonitorSignal("progress", cfg.progress_priority, {"fraction": ctx.progress})
-
-
 _MONITORS = {
     "intent": _intent,
     "risk": _risk,
     "tool_health": _tool_health,
-    "memory": _memory,
-    "progress": _progress,
 }
 
 

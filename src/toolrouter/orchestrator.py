@@ -228,25 +228,26 @@ def execute_task(
     states: Mapping[str, ToolState] = tool_states if tool_states is not None else {
         t: ToolState(t) for t in graph.tool_nodes()
     }
-    tool_count = max(1, len(graph.nodes) - len(graph.sentinels))
     trace = ExecutionTrace(goal_id=goal.id, final_goal=goal.id)
     position = start  # last successfully completed node
     goal_node = goal.goal_node
     ladder_index = 0  # ladder options before this index have been tried
-    successes = 0  # successful tool calls so far
 
     def sweep(failed_batch: tuple[str, ...] = ()):
         if prober is not None:
             opened = prober.scan(clock, states, attempts=len(trace.tool_calls))
             if opened:
                 trace.log(clock.now, "probe_detected", tools=opened)
-        visible = successes >= request.risk_visible_after
+        # A tool is never invoked again once it succeeds, and the goal
+        # sentinel joins ``completed`` only after the last sweep, so on a
+        # route whose only sentinels are its ends this counts the
+        # successful tool calls so far.
+        visible = len(trace.completed) >= request.risk_visible_after
         ctx = RequestContext(
             text=request.text,
             goal=trace.final_goal,
             amount=request.amount if visible else None,
             risk_score=request.risk_score if visible else None,
-            progress=min(1.0, len(trace.completed) / tool_count),
             tool_states=states,
             failed_tools=failed_batch,
             quarantined=frozenset(trace.quarantined),
@@ -382,7 +383,6 @@ def execute_task(
                     batch = alerts(sweep(failed_batch=(node,))) or [node]
                     path = recover(batch, f"failure of {node} exhausted the route")
                     break
-                successes += 1
                 position = node
             trace.completed.add(node)
         else:

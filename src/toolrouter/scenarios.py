@@ -127,12 +127,6 @@ class ScheduledInvoker:
         return self.base.invoke(node, clock)
 
 
-def apply_fault_schedule(invoker: HealthyInvoker, schedule: FaultSchedule) -> ScheduledInvoker:
-    """Wrap ``invoker`` with a fault schedule; an empty schedule leaves its
-    behavior unchanged."""
-    return ScheduledInvoker(schedule, base=invoker)
-
-
 class ScheduledProber:
     """Background health checks over the same schedule.
 
@@ -204,7 +198,7 @@ class Scenario:
         return self.topology.domain
 
     def fresh_invoker(self) -> ScheduledInvoker:
-        return apply_fault_schedule(HealthyInvoker(), self.faults)
+        return ScheduledInvoker(self.faults)
 
     def fresh_prober(self, invoker: ScheduledInvoker) -> ScheduledProber:
         return ScheduledProber(self.faults, invoker)
@@ -231,8 +225,7 @@ def _parse_scenario(doc: dict) -> Scenario:
         risk_score=req.get("risk_score"),
         risk_visible_after=int(req.get("risk_visible_after", 0)),
     )
-    overrides = doc.get("monitor_overrides", {})
-    monitor_config = MonitorConfig(**overrides) if overrides else MonitorConfig()
+    monitor_config = MonitorConfig.from_dict(doc.get("monitor_overrides", {}))
     exp = doc["expected"]
     expected = ExpectedCounts(
         shr_llm=exp["shr"]["llm_calls"],
@@ -266,7 +259,7 @@ def fixture_digest(scenarios: list[Scenario]) -> str:
     return f"{zlib.crc32(blob.encode()):08x}"
 
 
-def load_scenarios(override_dir: str | Path | None = None, verify: bool = True) -> list[Scenario]:
+def load_scenarios(override_dir: str | Path | None = None) -> list[Scenario]:
     """All 19 scenarios in stable order S1..S7, T1..T6, M1..M6."""
     out = []
     for sid in SCENARIO_IDS:
@@ -282,7 +275,7 @@ def load_scenarios(override_dir: str | Path | None = None, verify: bool = True) 
         if scenario.id != sid:
             raise FixtureCorrupt(f"{sid}: file declares id {scenario.id!r}")
         out.append(scenario)
-    if verify and override_dir is None:
+    if override_dir is None:
         digest = fixture_digest(out)
         if digest != EXPECTED_FIXTURE_DIGEST:
             raise FixtureCorrupt(
@@ -299,7 +292,7 @@ def scenario_tool_states(graph: ToolGraph) -> dict[str, ToolState]:
     made so far, which are the only ones whose breaker can be OPEN.  A task
     that calls ten tools of a 500-tool graph allocates ten states, not 500.
     """
-    return _StatesOnDemand(graph.nodes - graph.sentinels, ToolCalibration(trip_threshold=1, probe_interval_ms=0))
+    return _StatesOnDemand(graph.nodes - graph.sentinels, ToolCalibration(trip_threshold=1))
 
 
 class _StatesOnDemand(dict):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -13,7 +12,6 @@ from toolrouter.calibration import (
     RELIABILITY_RANGE,
     BreakerPhase,
     BreakerState,
-    CalibrationError,
     FactorOutOfRange,
     OutOfRange,
     SimClock,
@@ -23,7 +21,6 @@ from toolrouter.calibration import (
     WeightFactors,
     compose_weight,
     latency_factor,
-    load_calibration_config,
     rate_limit_factor,
     reliability_factor,
 )
@@ -343,58 +340,6 @@ class TestToolStateInvariants:
 
 
 class TestConfig:
-    def test_defaults_and_overrides(self):
-        cfg = load_calibration_config('{"stripe": {"trip_threshold": 1, "cooldown_ms": 500}}')
-        assert cfg["stripe"].trip_threshold == 1
-        assert cfg["stripe"].cooldown_ms == 500
-        assert cfg["stripe"].ramp_length == 5  # untouched default
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(CalibrationError):
-            load_calibration_config('{"stripe": {"nope": 1}}')
-
-    def test_malformed_json_is_a_calibration_error(self):
-        with pytest.raises(CalibrationError, match="invalid calibration JSON"):
-            load_calibration_config('{"stripe": {"trip_threshold": 1,}')
-
-    def test_bad_values_name_tool_and_field(self):
-        with pytest.raises(CalibrationError, match="stripe: trip_threshold"):
-            load_calibration_config('{"stripe": {"trip_threshold": "abc", "cooldown_ms": -5}}')
-
-    @pytest.mark.parametrize(
-        "field, bad",
-        [(field, "abc") for field in ToolCalibration.__dataclass_fields__]
-        + [
-            ("trip_threshold", 0),
-            ("trip_threshold", 1.5),
-            ("trip_threshold", True),
-            ("cooldown_ms", -5),
-            ("probe_interval_ms", -1),
-            ("ramp_length", -1),
-            ("ramp_start_multiplier", 0.5),
-            ("nominal_latency_ms", 0),
-            ("nominal_latency_ms", None),
-            ("base_cost", 0.1),
-            ("base_cost", 9.0),
-        ],
-    )
-    def test_out_of_range_or_mistyped(self, field, bad):
-        with pytest.raises(CalibrationError, match=f"razorpay: {field}"):
-            load_calibration_config(json.dumps({"razorpay": {field: bad}}))
-
-    def test_accepts_every_field_at_its_limits(self):
-        doc = {
-            "trip_threshold": 1,
-            "cooldown_ms": 0,
-            "probe_interval_ms": 0,
-            "ramp_length": 0,
-            "ramp_start_multiplier": 1,
-            "nominal_latency_ms": 0.5,
-            "base_cost": BASE_COST_RANGE[1],
-        }
-        cfg = load_calibration_config(json.dumps({"t": doc}))["t"]
-        assert cfg == ToolCalibration(**doc)
-
     def test_clock_rejects_negative_ticks(self):
         with pytest.raises(OutOfRange):
             SimClock().advance(-5)

@@ -98,7 +98,7 @@ class TestCompete:
         assert compete(signals).source == "risk"
 
     def test_singleton(self):
-        only = MonitorSignal("memory", 0.2, {})
+        only = MonitorSignal("intent", 0.2, {})
         assert compete([only]) is only
 
     def test_tool_health_outbids_routine_intent(self):
@@ -107,9 +107,9 @@ class TestCompete:
 
     def test_ties_resolve_by_source_order(self):
         signals = [
-            MonitorSignal("progress", 0.5, {}),
             MonitorSignal("intent", 0.5, {}),
             MonitorSignal("risk", 0.5, {}),
+            MonitorSignal("tool_health", 0.4, {}),
         ]
         assert compete(signals).source == "risk"
 
@@ -121,7 +121,7 @@ class TestCompete:
         for _ in range(200):
             signals = [
                 MonitorSignal(src, round(rng.random(), 3), {})
-                for src in rng.sample(SOURCE_ORDER, rng.randint(1, 5))
+                for src in rng.sample(SOURCE_ORDER, rng.randint(1, len(SOURCE_ORDER)))
             ]
             winner = compete(signals)
             assert all(winner.priority >= s.priority for s in signals)
@@ -170,6 +170,8 @@ class TestValidation:
             MonitorConfig.from_json('{"risk_priority": ')
         with pytest.raises(MonitorError, match="intent_keywords"):
             MonitorConfig.from_json('{"intent_keywords": {"refund": 3}}')
+        with pytest.raises(MonitorError, match="memory_priority"):
+            MonitorConfig.from_json('{"memory_priority": 0.2}')  # no such monitor
 
     def test_used_config_copies_and_pickles(self):
         # the signals a config builds on first use stay out of its state

@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 
 import pytest
 
 import toolrouter.scenarios as scenarios_mod
 from toolrouter.calibration import SimClock
+from toolrouter.monitors import MonitorError
 from toolrouter.orchestrator import TraceStatus
 from toolrouter.scenarios import (
     FaultEffect,
     HealthyInvoker,
-    apply_fault_schedule,
     FaultEntry,
     FaultSchedule,
     FixtureCorrupt,
@@ -66,15 +67,36 @@ class TestLoading:
     def test_digest_is_stable(self, suite):
         assert fixture_digest(suite) == scenarios_mod.EXPECTED_FIXTURE_DIGEST
 
-    def test_external_override_dir(self, suite, tmp_path):
+    @staticmethod
+    def _copy_fixtures(tmp_path):
         src = Path(scenarios_mod.__file__).parent / "data"
         for f in src.glob("*.json"):
             (tmp_path / f.name).write_text(f.read_text())
+
+    def test_external_override_dir(self, suite, tmp_path):
+        self._copy_fixtures(tmp_path)
         doc = json.loads((tmp_path / "S1.json").read_text())
         doc["request"]["text"] = "refund order 58112, modified locally"
         (tmp_path / "S1.json").write_text(json.dumps(doc))
         loaded = load_scenarios(override_dir=tmp_path)
         assert loaded[0].request.text.endswith("modified locally")
+
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"bogus": 1}, "bogus"),
+            ({"risk_amount_threshold": "lots"}, "risk_amount_threshold"),
+            ({"risk_priority": 7}, "risk_priority"),
+        ],
+        ids=["unknown", "mistyped", "out_of_range"],
+    )
+    def test_bad_monitor_override_names_the_field(self, tmp_path, bad, field):
+        self._copy_fixtures(tmp_path)
+        doc = json.loads((tmp_path / "T4.json").read_text())
+        doc["monitor_overrides"].update(bad)
+        (tmp_path / "T4.json").write_text(json.dumps(doc))
+        with pytest.raises(MonitorError, match=field):
+            load_scenarios(override_dir=tmp_path)
 
     def test_schedule_rejects_unknown_tool(self):
         schedule = FaultSchedule((FaultEntry("warp_drive", FaultEffect.DOWN_FROM_START),))
@@ -130,7 +152,7 @@ class TestTopologies:
 class TestFaultSchedules:
     def test_empty_schedule_changes_nothing(self):
         base = HealthyInvoker()
-        wrapped = apply_fault_schedule(base, FaultSchedule())
+        wrapped = ScheduledInvoker(FaultSchedule(), base=base)
         clock = SimClock()
         for node in ("crm", "stripe", "email"):
             assert wrapped.invoke(node, clock) == base.invoke(node, clock)
@@ -182,6 +204,14 @@ class TestEmergentColumns:
             run_self_healing(s).recovery_events for s in suite if s.domain == "travel_booking"
         )
         assert total == 7
+
+    def test_fixture_traces_are_pinned(self, suite):
+        # CRC-32 chained over every scenario's trace JSON in load order.  A
+        # change to trace semantics must update this value and say why.
+        digest = 0
+        for scenario in suite:
+            digest = zlib.crc32(run_self_healing(scenario).to_json().encode(), digest)
+        assert f"{digest:08x}" == "965b3cb6"
 
     def test_recovery_grand_total_is_thirteen(self, suite):
         assert sum(run_self_healing(s).recovery_events for s in suite) == 13
