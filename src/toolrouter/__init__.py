@@ -45,7 +45,6 @@ from .orchestrator import (
     TaskRequest,
     TraceStatus,
     execute_task,
-    resume_point,
 )
 from .scenarios import (
     FaultEffect,

@@ -6,8 +6,9 @@
     toolrouter report --in result.json [--diff] [--format md|json]
 
 ``bench`` exits nonzero when any cell departs from the embedded fixtures,
-so it doubles as a CI gate.  TOOLROUTER_CONFIG may point at a JSON file of
-monitor overrides applied to ad-hoc runs.
+so it doubles as a CI gate.  TOOLROUTER_CONFIG may point at a JSON file
+whose "monitor" section sets the risk thresholds (risk_amount_threshold,
+risk_score_threshold) for ``run``; any other key is an error.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _env_monitor_config() -> MonitorConfig | None:
-    """Optional monitor overrides from the TOOLROUTER_CONFIG file
+    """Optional risk thresholds from the TOOLROUTER_CONFIG file
     (JSON object with a "monitor" section).  A path that cannot be read as
     text (a directory, say), a file that does not parse, or a section with
     an unknown key raises ``MonitorError`` naming the file."""

@@ -1,18 +1,17 @@
 """Parallel health monitors and the priority competition.
 
 Three monitors (intent, risk, tool_health) each score the current request
-context; the orchestrator acts on the single highest-priority signal.
-Every monitor is a plain function of a read-only snapshot: regex and
-threshold checks only, no model inference anywhere, so a sweep costs
-microseconds and is fully deterministic.
+context from one fixed priority table; the orchestrator acts on the single
+highest-priority signal.  The only settings are the two risk thresholds
+(``MonitorConfig``).  Every monitor is a plain function of a read-only
+snapshot: keyword and threshold checks only, no model inference anywhere,
+so a sweep costs microseconds and is fully deterministic.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -31,12 +30,24 @@ class EmptySignalSet(MonitorError):
 SOURCE_ORDER = ("tool_health", "risk", "intent")
 _RANK = {source: rank for rank, source in enumerate(SOURCE_ORDER)}
 
+# The priority table.  A tool-health alert outbids everything, so an outage
+# is quarantined first; a flagged risk outbids any intent, so it escalates;
+# every idle signal loses to the intent fallback.
+TOOL_HEALTH_ALERT_PRIORITY = 0.99
+RISK_PRIORITY = 0.95
+INTENT_MATCH_PRIORITY = 0.90
+INTENT_FALLBACK_PRIORITY = 0.50
+TOOL_HEALTH_IDLE_PRIORITY = 0.10
+RISK_IDLE_PRIORITY = 0.05
+
+# (keyword, goal id) in keyword order: the first keyword found in the
+# request text names the intent.
+INTENT_KEYWORDS = (("book", "book_trip"), ("refund", "issue_refund"), ("review", "moderate_content"))
+
 
 @dataclass(frozen=True, slots=True)
 class MonitorSignal:
-    """One monitor's verdict.  Signals that depend only on the config are
-    built once per ``MonitorConfig`` and shared by every sweep, so their
-    payloads are read-only mappings, with tuples for lists."""
+    """One monitor's verdict."""
 
     source: str
     priority: float
@@ -60,7 +71,6 @@ class RequestContext:
     """
 
     text: str
-    goal: str
     amount: float | None = None
     risk_score: float | None = None
     tool_states: Mapping[str, ToolState] = field(default_factory=dict)
@@ -74,20 +84,13 @@ class RequestContext:
 
 @dataclass(frozen=True)
 class MonitorConfig:
-    """Static monitor tuning; every value has a sensible default and all of
-    them may be overridden per scenario."""
+    """The risk policy: a request whose visible amount or risk score reaches
+    its threshold is flagged.  Both thresholds may be overridden per
+    scenario; the priority table above is fixed."""
 
     risk_amount_threshold: float = 10_000.0
     risk_score_threshold: float = 0.8
-    intent_keywords: Mapping[str, str] = field(
-        default_factory=lambda: {"refund": "issue_refund", "book": "book_trip", "review": "moderate_content"}
-    )
-    intent_match_priority: float = 0.90
-    intent_fallback_priority: float = 0.50
-    risk_priority: float = 0.95
-    risk_idle_priority: float = 0.05
-    tool_health_alert_priority: float = 0.99
-    tool_health_idle_priority: float = 0.10
+    risk_priority = RISK_PRIORITY  # a flagged request's priority; not a setting
 
     @staticmethod
     def from_json(text: str) -> "MonitorConfig":
@@ -105,51 +108,30 @@ class MonitorConfig:
         if unknown:
             raise MonitorError(f"unknown monitor settings {sorted(unknown)}")
         for name, value in doc.items():
-            if name == "intent_keywords":
-                ok = isinstance(value, dict) and all(isinstance(x, str) for kv in value.items() for x in kv)
-                rule = "an object mapping keywords to goal ids"
-            else:
-                hi = 1.0 if name.endswith("_priority") else math.inf
-                ok = type(value) in (int, float) and 0.0 <= value <= hi
-                rule = f"a number in [0, {hi:g}]"
-            if not ok:
-                raise MonitorError(f"monitor setting {name} must be {rule}, got {value!r}")
+            if type(value) not in (int, float) or not 0.0 <= value:
+                raise MonitorError(f"monitor setting {name} must be a number >= 0, got {value!r}")
         return MonitorConfig(**doc)
-
-    # Signals that depend on nothing but the config are built on first use
-    # and kept on the instance; copies and pickles carry only the fields.
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    @cached_property
-    def _intents(self) -> tuple[tuple[str, MonitorSignal], ...]:
-        """(keyword, match signal) pairs in keyword order."""
-        return tuple(
-            (keyword, MonitorSignal("intent", self.intent_match_priority, MappingProxyType({"intent": goal})))
-            for keyword, goal in sorted(self.intent_keywords.items())
-        )
-
-    @cached_property
-    def _idle(self) -> dict[str, MonitorSignal]:
-        return {
-            source: MonitorSignal(source, priority, MappingProxyType(payload))
-            for source, priority, payload in (
-                ("intent", self.intent_fallback_priority, {"intent": None}),
-                ("risk", self.risk_idle_priority, {"flags": ()}),
-                ("tool_health", self.tool_health_idle_priority, {"tools": ()}),
-            )
-        }
 
 
 DEFAULT_MONITOR_CONFIG = MonitorConfig()
 
+# Signals that depend on nothing but the table are built once and shared by
+# every sweep, so their payloads are read-only mappings, with tuples for lists.
+_INTENTS = tuple(
+    (keyword, MonitorSignal("intent", INTENT_MATCH_PRIORITY, MappingProxyType({"intent": goal})))
+    for keyword, goal in INTENT_KEYWORDS
+)
+_IDLE_INTENT = MonitorSignal("intent", INTENT_FALLBACK_PRIORITY, MappingProxyType({"intent": None}))
+_IDLE_RISK = MonitorSignal("risk", RISK_IDLE_PRIORITY, MappingProxyType({"flags": ()}))
+_IDLE_TOOL_HEALTH = MonitorSignal("tool_health", TOOL_HEALTH_IDLE_PRIORITY, MappingProxyType({"tools": ()}))
+
 
 def _intent(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
     lowered = ctx.text.lower()
-    for keyword, signal in cfg._intents:
+    for keyword, signal in _INTENTS:
         if keyword in lowered:
             return signal
-    return cfg._idle["intent"]
+    return _IDLE_INTENT
 
 
 def _risk(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
@@ -159,8 +141,8 @@ def _risk(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
     if ctx.risk_score is not None and ctx.risk_score >= cfg.risk_score_threshold:
         flagged.append({"kind": "score", "value": ctx.risk_score, "threshold": cfg.risk_score_threshold})
     if flagged:
-        return MonitorSignal("risk", cfg.risk_priority, {"flags": flagged})
-    return cfg._idle["risk"]
+        return MonitorSignal("risk", RISK_PRIORITY, {"flags": flagged})
+    return _IDLE_RISK
 
 
 def _tool_health(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
@@ -168,8 +150,8 @@ def _tool_health(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
     if down or ctx.failed_tools:
         alerts = sorted(set(ctx.failed_tools).union(down).difference(ctx.quarantined))
         if alerts:
-            return MonitorSignal("tool_health", cfg.tool_health_alert_priority, {"tools": alerts})
-    return cfg._idle["tool_health"]
+            return MonitorSignal("tool_health", TOOL_HEALTH_ALERT_PRIORITY, {"tools": alerts})
+    return _IDLE_TOOL_HEALTH
 
 
 _MONITORS = {

@@ -2,11 +2,12 @@
 
 The loop: route with shortest-path search, invoke tools along the route,
 and on any failure quarantine the offending nodes and recompute the route
-from the last completed position, skipping finished work.  The pluggable
-reasoner is consulted only when no route exists (goal demotion, then
-escalation) or when a risk signal wins the monitor competition.  Every run
-terminates in exactly one of two states: SUCCESS with the executed route,
-or ESCALATED with an explicit demotion/handoff record.
+from the last completed position, skipping finished work wherever the new
+route passes it.  The pluggable reasoner is consulted only when no route
+exists (goal demotion, then escalation) or when a risk signal wins the
+monitor competition.  Every run terminates in exactly one of two states:
+SUCCESS with the executed route, or ESCALATED with an explicit
+demotion/handoff record.
 
 Monitors sweep before the initial route and before every step; failures
 additionally trigger an immediate sweep so that simultaneous outages
@@ -198,14 +199,6 @@ class ExecutionTrace:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
-def resume_point(path: RoutePath, completed: set[str]) -> int:
-    """Index of the first route node not yet completed; len(path) if none."""
-    for i, node in enumerate(path.nodes):
-        if node not in completed:
-            return i
-    return len(path.nodes)
-
-
 def execute_task(
     goal: TaskGoal,
     graph: ToolGraph,
@@ -245,7 +238,6 @@ def execute_task(
         visible = len(trace.completed) >= request.risk_visible_after
         ctx = RequestContext(
             text=request.text,
-            goal=trace.final_goal,
             amount=request.amount if visible else None,
             risk_score=request.risk_score if visible else None,
             tool_states=states,
@@ -258,8 +250,9 @@ def execute_task(
         return winner.payload["tools"] if winner.source == "tool_health" else []
 
     def interrupted(winner) -> bool:
-        """A risk signal at escalation priority ends the run with one consult."""
-        if winner.source == "risk" and winner.priority >= cfg.risk_priority:
+        """A winning risk signal ends the run with one consult: risk wins
+        only when a threshold flags the request."""
+        if winner.source == "risk":
             trace.risk_interrupts += 1
             consult("risk_escalation", f"risk flags {winner.payload['flags']}")
             return True
@@ -358,9 +351,14 @@ def execute_task(
         trace.log(clock.now, "routed", path=list(path.nodes), cost=path.total_cost)
 
     for _ in range(_MAX_LOOP):
-        # Each pass walks the current route from its first unfinished node;
-        # a recovery ends the pass with the route to resume on.
-        for node in path.nodes[resume_point(path, trace.completed | {start}) :]:
+        # Each pass walks the current route past its source.  A node the task
+        # already finished is skipped wherever it lies on the route (a reroute
+        # on a cyclic graph may pass it again); a recovery ends the pass with
+        # the route to resume on.
+        for node in path.nodes[1:]:
+            if node in trace.completed:
+                position = node
+                continue
             winner = sweep()
             if interrupted(winner):
                 return trace

@@ -3,12 +3,13 @@
 Scenario files ship as package data (one JSON per scenario) and are verified
 against an embedded checksum at load time, so a corrupted or hand-edited
 fixture fails loudly rather than silently skewing the benchmark.  A loader
-override directory is accepted for experimentation.
+override directory is accepted for experimentation; a malformed file there
+raises ``FixtureCorrupt`` naming the scenario and the field.
 
 The fault schedule drives a deterministic invoker and prober: effects say
-when a tool is down (from the start, on its first call, or after the k-th
-call attempt) and whether background health probes can see the outage
-before a request trips over it.
+when a tool is down (from the start, or once k call attempts happened)
+and whether background health probes can see the outage before a request
+trips over it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class UnknownTool(ScenarioError):
 
 class FaultEffect(Enum):
     DOWN_FROM_START = "DOWN_FROM_START"
-    FAIL_ON_FIRST_CALL = "FAIL_ON_FIRST_CALL"
     FAIL_AT_STEP = "FAIL_AT_STEP"
 
 
@@ -204,15 +204,26 @@ class Scenario:
         return ScheduledProber(self.faults, invoker)
 
 
+def _count(section: dict, key: str) -> int:
+    value = section.get(key, 0)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def _parse_scenario(doc: dict) -> Scenario:
+    """One scenario file; a missing key raises KeyError and a bad value
+    ValueError or TypeError, each naming the field."""
     topology = build_topology(doc["topology"])
+    if not isinstance(doc.get("faults", []), list):
+        raise TypeError(f"faults must be a list, got {type(doc['faults']).__name__}")
     entries = tuple(
         FaultEntry(
             tool=e["tool"],
             effect=FaultEffect(e["effect"]),
             kind=e.get("kind", "error_response"),
             probe_visible=bool(e.get("probe_visible", False)),
-            at_step=int(e.get("at_step", 0)),
+            at_step=_count(e, "at_step"),
         )
         for e in doc.get("faults", [])
     )
@@ -223,7 +234,7 @@ def _parse_scenario(doc: dict) -> Scenario:
         text=req["text"],
         amount=req.get("amount"),
         risk_score=req.get("risk_score"),
-        risk_visible_after=int(req.get("risk_visible_after", 0)),
+        risk_visible_after=_count(req, "risk_visible_after"),
     )
     monitor_config = MonitorConfig.from_dict(doc.get("monitor_overrides", {}))
     exp = doc["expected"]
@@ -271,7 +282,14 @@ def load_scenarios(override_dir: str | Path | None = None) -> list[Scenario]:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FixtureCorrupt(f"{sid}: invalid JSON ({exc.msg})") from exc
-        scenario = _parse_scenario(doc)
+        if not isinstance(doc, dict):
+            raise FixtureCorrupt(f"{sid}: expected a JSON object")
+        try:
+            scenario = _parse_scenario(doc)
+        except KeyError as exc:
+            raise FixtureCorrupt(f"{sid}: {exc.args[0]!r} is missing") from exc
+        except (ValueError, TypeError) as exc:
+            raise FixtureCorrupt(f"{sid}: {exc}") from exc
         if scenario.id != sid:
             raise FixtureCorrupt(f"{sid}: file declares id {scenario.id!r}")
         out.append(scenario)

@@ -48,7 +48,8 @@ class TestRun:
             ('{"monitor": {"risk_amount_threshold": 1e9,}}', "invalid JSON"),
             ('{"monitor": {"risk_amount_thresold": 1e9}}', "risk_amount_thresold"),
             ('{"monitor": {"risk_amount_threshold": "high"}}', "risk_amount_threshold"),
-            ('{"monitor": {"risk_priority": 2}}', "risk_priority"),
+            ('{"monitor": {"risk_score_threshold": -1}}', "risk_score_threshold"),
+            ('{"monitor": {"intent_match_priority": 1.0}}', "intent_match_priority"),
             ('["monitor"]', "JSON object"),
         ],
     )

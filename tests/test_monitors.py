@@ -22,7 +22,7 @@ from toolrouter.monitors import (
 
 
 def ctx(**kw) -> RequestContext:
-    defaults = dict(text="please refund order 11", goal="issue_refund")
+    defaults = dict(text="please refund order 11")
     defaults.update(kw)
     return RequestContext(**defaults)
 
@@ -173,8 +173,34 @@ class TestValidation:
         with pytest.raises(MonitorError, match="memory_priority"):
             MonitorConfig.from_json('{"memory_priority": 0.2}')  # no such monitor
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "intent_keywords",
+            "intent_match_priority",
+            "intent_fallback_priority",
+            "risk_priority",
+            "risk_idle_priority",
+            "tool_health_alert_priority",
+            "tool_health_idle_priority",
+        ],
+    )
+    def test_priority_table_is_not_a_setting(self, key):
+        # Each of these once let a config file break the two-terminal-state
+        # promise (a risk that never escalates, an escalation with no flag,
+        # an outage nobody sees); the table is now fixed in code.
+        with pytest.raises(MonitorError, match=f"unknown monitor settings.*{key}"):
+            MonitorConfig.from_dict({key: 0.5})
+
+    def test_config_is_the_risk_policy(self):
+        assert list(MonitorConfig.__dataclass_fields__) == ["risk_amount_threshold", "risk_score_threshold"]
+        assert MonitorConfig().risk_priority == 0.95
+        assert MonitorConfig.from_dict({"risk_score_threshold": 0}).risk_score_threshold == 0
+        for bad in (-0.1, float("nan"), True, "1", None):
+            with pytest.raises(MonitorError, match="risk_score_threshold must be a number >= 0"):
+                MonitorConfig.from_dict({"risk_score_threshold": bad})
+
     def test_used_config_copies_and_pickles(self):
-        # the signals a config builds on first use stay out of its state
         cfg = MonitorConfig(risk_amount_threshold=500.0)
         reference = run_all_monitors(ctx(), cfg)
         for twin in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import zlib
 from pathlib import Path
 
@@ -86,9 +87,10 @@ class TestLoading:
         [
             ({"bogus": 1}, "bogus"),
             ({"risk_amount_threshold": "lots"}, "risk_amount_threshold"),
-            ({"risk_priority": 7}, "risk_priority"),
+            ({"risk_score_threshold": -0.5}, "risk_score_threshold"),
+            ({"risk_idle_priority": 0.96}, "risk_idle_priority"),
         ],
-        ids=["unknown", "mistyped", "out_of_range"],
+        ids=["unknown", "mistyped", "out_of_range", "priority_table"],
     )
     def test_bad_monitor_override_names_the_field(self, tmp_path, bad, field):
         self._copy_fixtures(tmp_path)
@@ -96,6 +98,26 @@ class TestLoading:
         doc["monitor_overrides"].update(bad)
         (tmp_path / "T4.json").write_text(json.dumps(doc))
         with pytest.raises(MonitorError, match=field):
+            load_scenarios(override_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "corrupt, names",
+        [
+            (lambda doc: doc["faults"][0].update(effect="DOWN_LATER"), "'DOWN_LATER' is not a valid FaultEffect"),
+            (lambda doc: doc["request"].pop("text"), "'text' is missing"),
+            (lambda doc: doc["faults"][0].update(at_step="two"), "at_step must be an integer >= 0, got 'two'"),
+            (lambda doc: doc.pop("expected"), "'expected' is missing"),
+            (lambda doc: doc.update(faults={"tool": "stripe"}), "faults must be a list, got dict"),
+            (lambda doc: doc.update(topology="ring"), "'ring' is not a valid TopologyKind"),
+        ],
+        ids=["effect", "request_text", "at_step", "expected", "faults_object", "topology"],
+    )
+    def test_malformed_scenario_names_the_field(self, tmp_path, corrupt, names):
+        self._copy_fixtures(tmp_path)
+        doc = json.loads((tmp_path / "S2.json").read_text())
+        corrupt(doc)
+        (tmp_path / "S2.json").write_text(json.dumps(doc))
+        with pytest.raises(FixtureCorrupt, match="^S2: " + re.escape(names)):
             load_scenarios(override_dir=tmp_path)
 
     def test_schedule_rejects_unknown_tool(self):

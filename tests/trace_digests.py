@@ -1,0 +1,71 @@
+"""Print the chained CRC-32 trace digests of the five digest corpora.
+
+    python3 tests/trace_digests.py
+
+Run from anywhere; the package comes from ``src/`` and the workloads from
+``perfbench/workloads.py`` of this checkout.  Each digest is CRC-32 chained
+over ``ExecutionTrace.to_json()`` in run order:
+
+- fixtures: the 19 scenarios under the self-healing router
+- fuzz: the traces of ``run_fuzz(1000, seed=42)``
+- paper_fuzz, wide_catalog, long_session: the first 3,000 / 400 / 6,000
+  tasks of ``WORKLOADS[name](11)``
+
+A change that keeps trace semantics leaves all five unchanged; one that
+changes them records old -> new and why.  Takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import sys
+import zlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from toolrouter import bench  # noqa: E402
+from toolrouter.scenarios import load_scenarios, run_self_healing  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+WORKLOAD_SEED = 11
+WORKLOAD_TASKS = {"paper_fuzz": 3_000, "wide_catalog": 400, "long_session": 6_000}
+
+
+def chained(traces) -> str:
+    digest = 0
+    for trace in traces:
+        digest = zlib.crc32(trace.to_json().encode(), digest)
+    return f"{digest:08x}"
+
+
+def fuzz_traces(iterations: int, seed: int) -> tuple[list, dict]:
+    """The traces ``run_fuzz`` makes, caught at its ``execute_task`` call."""
+    traces = []
+    execute_task = bench.execute_task
+
+    def recording(*args, **kwargs):
+        trace = execute_task(*args, **kwargs)
+        traces.append(trace)
+        return trace
+
+    bench.execute_task = recording
+    try:
+        stats = bench.run_fuzz(iterations, seed=seed)
+    finally:
+        bench.execute_task = execute_task
+    return traces, stats
+
+
+def main() -> int:
+    print(f"fixtures      {chained(run_self_healing(s) for s in load_scenarios())}")
+    traces, stats = fuzz_traces(1000, seed=42)
+    print(f"fuzz          {chained(traces)}  {stats}")
+    for name, tasks in WORKLOAD_TASKS.items():
+        workload = WORKLOADS[name](WORKLOAD_SEED)
+        print(f"{name:<13} {chained(workload.run_task(t) for t in workload.tasks[:tasks])}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
