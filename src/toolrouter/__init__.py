@@ -12,7 +12,6 @@ from .baselines import AuditReport, audit, run_react, run_static_workflow
 from .bench import (
     BenchConfig,
     BenchResult,
-    ScaleProjection,
     load_result,
     measure_recovery_latency,
     persist_result,
@@ -28,13 +27,8 @@ from .calibration import (
     TelemetryWindow,
     ToolCalibration,
     ToolState,
-    WeightFactors,
-    compose_weight,
-    latency_factor,
-    rate_limit_factor,
-    reliability_factor,
 )
-from .graph import INFINITE, Edge, RoutePath, ToolGraph, load_graph_json
+from .graph import INFINITE, Edge, RoutePath, ToolGraph
 from .monitors import MonitorConfig, MonitorSignal, RequestContext, compete, run_all_monitors
 from .orchestrator import (
     DemotionOption,

@@ -15,7 +15,7 @@ import random
 import statistics
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .baselines import audit, run_react, run_static_workflow
@@ -23,6 +23,7 @@ from .calibration import SimClock
 from .orchestrator import TraceStatus
 from .scenarios import (
     EXPECTED_FIXTURE_DIGEST,
+    SCENARIO_IDS,
     FaultEntry,
     FaultEffect,
     FaultSchedule,
@@ -60,6 +61,11 @@ class DigestMismatch(BenchError):
 
 class IoFailure(BenchError):
     pass
+
+
+class ResultCorrupt(BenchError):
+    """A persisted result that is not JSON or not in ``as_dict`` shape; the
+    message names the field at fault."""
 
 
 @dataclass(frozen=True)
@@ -126,19 +132,56 @@ class BenchResult:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
     @staticmethod
-    def from_dict(doc: dict) -> "BenchResult":
-        rows = [BenchRow(**r) for r in doc["rows"]]
-        return BenchResult(rows=rows, aggregates=doc["aggregates"], metadata=doc["metadata"])
+    def from_dict(doc: object) -> "BenchResult":
+        if not isinstance(doc, dict):
+            raise ResultCorrupt("expected a JSON object")
+        rows = [_parse_row(f"rows[{i}]", r) for i, r in enumerate(_member(doc, "rows", list))]
+        aggregates = _member(doc, "aggregates", dict)
+        for arch, agg in aggregates.items():
+            if arch not in ARCHITECTURES:
+                raise ResultCorrupt(f"aggregates: unknown architecture {arch!r}")
+            if not isinstance(agg, dict) or not _AGGREGATE_KEYS <= set(agg):
+                raise ResultCorrupt(f"aggregates.{arch} must be an object with keys {sorted(_AGGREGATE_KEYS)}")
+        return BenchResult(rows=rows, aggregates=aggregates, metadata=_member(doc, "metadata", dict))
 
     @staticmethod
     def from_json(text: str) -> "BenchResult":
-        return BenchResult.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ResultCorrupt(f"invalid JSON ({exc})") from exc
+        return BenchResult.from_dict(doc)
 
     def row(self, scenario: str, arch: str) -> BenchRow:
         for r in self.rows:
             if r.scenario == scenario and r.arch == arch:
                 return r
         raise KeyError((scenario, arch))
+
+
+_ROW_FIELDS = {f.name for f in fields(BenchRow)}
+_AGGREGATE_KEYS = frozenset(("scenarios", "correct", "llm_calls", "tool_calls", "recoveries", "silent_failures"))
+
+
+def _member(doc: dict, key: str, kind: type):
+    if key not in doc:
+        raise ResultCorrupt(f"{key!r} is missing")
+    if not isinstance(doc[key], kind):
+        raise ResultCorrupt(f"{key} must be a JSON {'array' if kind is list else 'object'}")
+    return doc[key]
+
+
+def _parse_row(where: str, doc: object) -> BenchRow:
+    if not isinstance(doc, dict):
+        raise ResultCorrupt(f"{where} must be a JSON object")
+    odd = sorted(set(doc) ^ _ROW_FIELDS)
+    if odd:
+        raise ResultCorrupt(f"{where}: field {odd[0]!r} is {'unknown' if odd[0] in doc else 'missing'}")
+    if doc["scenario"] not in SCENARIO_IDS:
+        raise ResultCorrupt(f"{where}: unknown scenario {doc['scenario']!r}")
+    if doc["arch"] not in ARCHITECTURES:
+        raise ResultCorrupt(f"{where}: unknown architecture {doc['arch']!r}")
+    return BenchRow(**doc)
 
 
 def _aggregate(rows: list[BenchRow], archs: tuple[str, ...]) -> dict[str, dict]:
@@ -329,9 +372,12 @@ def persist_result(result: BenchResult, path: str | Path) -> None:
 def load_result(path: str | Path, strict: bool = False) -> BenchResult:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    result = BenchResult.from_json(text)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    try:
+        result = BenchResult.from_json(text)
+    except ResultCorrupt as exc:
+        raise ResultCorrupt(f"{path}: {exc}") from exc
     stored = result.metadata.get("fixture_digest")
     if stored != EXPECTED_FIXTURE_DIGEST:
         msg = f"result was produced against fixture digest {stored}, current is {EXPECTED_FIXTURE_DIGEST}"
@@ -344,44 +390,33 @@ def load_result(path: str | Path, strict: bool = False) -> BenchResult:
 # -- risk projection ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScaleProjection:
-    """Sensitivity model for operational exposure at scale; every knob has
-    the benchmark's published default."""
-
-    failure_rate: float = 0.05
-    llm_calls_per_recovery: float = 4.0
-    seconds_per_recovery: float = 2.0
-    compound_rate_low: float = 0.02
-    compound_rate_high: float = 0.05
-    shr_seconds_per_event: float = 0.001
-
-    def validate(self) -> "ScaleProjection":
-        for name in ("failure_rate", "compound_rate_low", "compound_rate_high"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise BenchError(f"{name} must be in [0, 1]")
-        if self.compound_rate_low > self.compound_rate_high:
-            raise BenchError("compound_rate_low > compound_rate_high")
-        return self
+# The benchmark's published sensitivity model; only the failure rate is a
+# parameter.
+LLM_CALLS_PER_RECOVERY = 4.0
+SECONDS_PER_RECOVERY = 2.0
+COMPOUND_RATE_LOW = 0.02
+COMPOUND_RATE_HIGH = 0.05
+SHR_SECONDS_PER_EVENT = 0.001
 
 
-def project_risk(tasks_per_day: list[int], p: ScaleProjection | None = None) -> list[dict]:
-    p = (p or ScaleProjection()).validate()
+def project_risk(tasks_per_day: list[int], failure_rate: float = 0.05) -> list[dict]:
+    """Operational exposure per day at each load, for each architecture."""
+    if not 0.0 <= failure_rate <= 1.0:
+        raise BenchError(f"failure_rate must be in [0, 1], got {failure_rate!r}")
     rows = []
     for tasks in tasks_per_day:
         if tasks < 0:
             raise BenchError("tasks_per_day must be >= 0")
-        events = tasks * p.failure_rate
+        events = tasks * failure_rate
         rows.append(
             {
                 "tasks_per_day": tasks,
                 "recovery_events_per_day": events,
-                "react_recovery_seconds": events * p.seconds_per_recovery,
-                "react_llm_calls": events * p.llm_calls_per_recovery,
-                "workflow_silent_low": events * p.compound_rate_low,
-                "workflow_silent_high": events * p.compound_rate_high,
-                "shr_recovery_seconds": events * p.shr_seconds_per_event,
+                "react_recovery_seconds": events * SECONDS_PER_RECOVERY,
+                "react_llm_calls": events * LLM_CALLS_PER_RECOVERY,
+                "workflow_silent_low": events * COMPOUND_RATE_LOW,
+                "workflow_silent_high": events * COMPOUND_RATE_HIGH,
+                "shr_recovery_seconds": events * SHR_SECONDS_PER_EVENT,
             }
         )
     return rows
@@ -413,6 +448,8 @@ def render_projection(rows: list[dict], fmt: str = "md") -> str:
 def measure_recovery_latency(repetitions: int = 200) -> dict:
     """Wall-clock cost of one quarantine + recompute cycle per topology.
     This is the only place the package reads real time."""
+    if repetitions < 1:
+        raise BenchError(f"repetitions must be >= 1, got {repetitions}")
     results = {}
     all_samples: list[float] = []
     for kind in TopologyKind:

@@ -6,9 +6,11 @@
     toolrouter report --in result.json [--diff] [--format md|json]
 
 ``bench`` exits nonzero when any cell departs from the embedded fixtures,
-so it doubles as a CI gate.  TOOLROUTER_CONFIG may point at a JSON file
-whose "monitor" section sets the risk thresholds (risk_amount_threshold,
-risk_score_threshold) for ``run``; any other key is an error.
+so it doubles as a CI gate.  Bad input (an out-of-range value, a result
+file that is missing or malformed) prints one ``error:`` line and exits 2.
+TOOLROUTER_CONFIG may point at a JSON file whose "monitor" section sets the
+risk thresholds (risk_amount_threshold, risk_score_threshold) for ``run``;
+any other key is an error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from pathlib import Path
 from .baselines import audit, run_react, run_static_workflow
 from .bench import (
     BenchConfig,
-    ScaleProjection,
+    BenchError,
+    IoFailure,
     diff_against_fixtures,
     load_result,
     measure_recovery_latency,
@@ -41,7 +44,10 @@ ENV_CONFIG = "TOOLROUTER_CONFIG"
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise IoFailure(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -136,8 +142,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    projection = ScaleProjection(failure_rate=args.failure_rate)
-    rows = project_risk(args.tasks_per_day, projection)
+    rows = project_risk(args.tasks_per_day, args.failure_rate)
     _emit(render_projection(rows, fmt=args.format), args.out)
     return 0
 
@@ -205,7 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BenchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

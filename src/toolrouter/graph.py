@@ -42,14 +42,6 @@ class NonPositiveWeight(GraphError):
     pass
 
 
-class GraphFormatError(GraphError):
-    """Raised by the JSON loader; carries a line number when one is known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line else message)
-
-
 @dataclass(frozen=True)
 class Edge:
     """Snapshot of a directed edge.  ``effective_weight`` is the base weight,
@@ -262,57 +254,3 @@ class ToolGraph:
         }
         return json.dumps(doc, indent=2)
 
-
-def _line_of(text: str, needle: str) -> int | None:
-    pos = text.find(needle)
-    if pos < 0:
-        return None
-    return text.count("\n", 0, pos) + 1
-
-
-def load_graph_json(text: str) -> ToolGraph:
-    """Parse a graph definition document and validate its invariants.
-
-    Expected shape: ``{"nodes": [{"id", "base_cost"}], "edges": [{"from",
-    "to", "weight"}]}``.  Errors carry the offending line where it can be
-    located in the source text.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
-        raise GraphFormatError("document must contain 'nodes' and 'edges' arrays")
-    g = ToolGraph()
-    seen: set[str] = set()
-    for i, node_spec in enumerate(doc["nodes"]):
-        node_id = node_spec.get("id") if isinstance(node_spec, dict) else None
-        if not node_id or not isinstance(node_id, str):
-            raise GraphFormatError(f"nodes[{i}]: missing or invalid 'id'")
-        if node_id in seen:
-            raise GraphFormatError(
-                f"nodes[{i}]: duplicate node id {node_id!r}", line=_line_of(text, f'"{node_id}"')
-            )
-        seen.add(node_id)
-        base = node_spec.get("base_cost", 1.0)
-        if not (isinstance(base, (int, float)) and math.isfinite(base) and base > 0):
-            raise GraphFormatError(
-                f"nodes[{i}]: base_cost must be finite and > 0", line=_line_of(text, f'"{node_id}"')
-            )
-        g.add_node(node_id, base_cost=float(base), sentinel=bool(node_spec.get("sentinel", False)))
-    for i, edge_spec in enumerate(doc["edges"]):
-        if not isinstance(edge_spec, dict):
-            raise GraphFormatError(f"edges[{i}]: expected an object")
-        src, dst = edge_spec.get("from"), edge_spec.get("to")
-        w = edge_spec.get("weight")
-        where = _line_of(text, f'"{src}"') if isinstance(src, str) else None
-        if src not in g.nodes:
-            raise GraphFormatError(f"edges[{i}]: unknown source node {src!r}", line=where)
-        if dst not in g.nodes:
-            raise GraphFormatError(f"edges[{i}]: unknown target node {dst!r}", line=where)
-        if src == dst:
-            raise GraphFormatError(f"edges[{i}]: self-loop on {src!r}", line=where)
-        if not (isinstance(w, (int, float)) and math.isfinite(w) and w > 0):
-            raise GraphFormatError(f"edges[{i}]: weight must be finite and > 0", line=where)
-        g.add_edge(src, dst, float(w))
-    return g

@@ -211,12 +211,29 @@ def _count(section: dict, key: str) -> int:
     return value
 
 
+def _amount(section: dict, key: str) -> float | None:
+    value = section.get(key)
+    if value is not None and (type(value) not in (int, float) or not value >= 0):
+        raise ValueError(f"{key} must be null or a number >= 0, got {value!r}")
+    return value
+
+
+def _object(value: object, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _parse_scenario(doc: dict) -> Scenario:
-    """One scenario file; a missing key raises KeyError and a bad value
-    ValueError or TypeError, each naming the field."""
+    """One scenario file; a missing key raises KeyError, a bad value
+    ValueError or TypeError, and a fault on a tool the topology lacks
+    UnknownTool, each naming the field or the tool."""
     topology = build_topology(doc["topology"])
-    if not isinstance(doc.get("faults", []), list):
-        raise TypeError(f"faults must be a list, got {type(doc['faults']).__name__}")
+    faults = doc.get("faults", [])
+    if not isinstance(faults, list):
+        raise TypeError(f"faults must be a list, got {type(faults).__name__}")
+    for i, e in enumerate(faults):
+        _object(e, f"faults[{i}]")
     entries = tuple(
         FaultEntry(
             tool=e["tool"],
@@ -225,15 +242,17 @@ def _parse_scenario(doc: dict) -> Scenario:
             probe_visible=bool(e.get("probe_visible", False)),
             at_step=_count(e, "at_step"),
         )
-        for e in doc.get("faults", [])
+        for e in faults
     )
     schedule = FaultSchedule(entries)
     schedule.validate_against(topology.fresh_graph())
-    req = doc["request"]
+    req = _object(doc["request"], "request")
+    if not isinstance(req["text"], str):
+        raise TypeError(f"request text must be a string, got {type(req['text']).__name__}")
     request = TaskRequest(
         text=req["text"],
-        amount=req.get("amount"),
-        risk_score=req.get("risk_score"),
+        amount=_amount(req, "amount"),
+        risk_score=_amount(req, "risk_score"),
         risk_visible_after=_count(req, "risk_visible_after"),
     )
     monitor_config = MonitorConfig.from_dict(doc.get("monitor_overrides", {}))
@@ -288,7 +307,7 @@ def load_scenarios(override_dir: str | Path | None = None) -> list[Scenario]:
             scenario = _parse_scenario(doc)
         except KeyError as exc:
             raise FixtureCorrupt(f"{sid}: {exc.args[0]!r} is missing") from exc
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, UnknownTool) as exc:
             raise FixtureCorrupt(f"{sid}: {exc}") from exc
         if scenario.id != sid:
             raise FixtureCorrupt(f"{sid}: file declares id {scenario.id!r}")

@@ -5,6 +5,9 @@ Tolerances are pinned here, not deferred: integer cells are exact, the
 projection's time figures allow 5% against their rounded reference values,
 and the recovery microbenchmark uses a 10 ms ceiling to absorb CI jitter
 around a sub-millisecond expectation.
+
+C8 (the telemetry weight function) retired with its code, which no route
+read; the other criteria keep their numbers.
 """
 
 from __future__ import annotations
@@ -31,11 +34,7 @@ from toolrouter.calibration import (
     SimClock,
     ToolCalibration,
     ToolState,
-    WeightFactors,
-    compose_weight,
-    rate_limit_factor,
 )
-from toolrouter.graph import INFINITE
 from toolrouter.monitors import MonitorConfig
 from toolrouter.orchestrator import RuleReasoner, TaskRequest, TraceStatus, execute_task
 from toolrouter.scenarios import (
@@ -213,7 +212,7 @@ class TestC6BinaryObservability:
 
 
 class TestC7CircuitBreaker:
-    def test_c7_transitions_and_ramp(self):
+    def test_c7_transitions(self):
         clock = SimClock()
         state = ToolState("t", ToolCalibration(trip_threshold=3, cooldown_ms=10_000))
         for _ in range(3):
@@ -231,43 +230,10 @@ class TestC7CircuitBreaker:
         state.run_health_probe(clock, 50, True)  # post-cooldown probe succeeds
         assert state.breaker.phase is BreakerPhase.CLOSED
 
-        ramp_start_expected = 4.0 * state.current_weight  # telemetry weight at re-close
-        weights = [state.recovery_weight(clock.now)]
-        assert weights[0] == pytest.approx(ramp_start_expected)
-        for _ in range(state.config.ramp_length):
-            state.record_call(clock, 100, True)
-            weights.append(state.recovery_weight(clock.now))
-        assert all(a >= b - 1e-9 for a, b in zip(weights, weights[1:]))
-        assert weights[-1] == pytest.approx(state.current_weight)
         half_open = BreakerState(phase=BreakerPhase.HALF_OPEN)
         half_open.on_probe(clock.now, False)
         assert half_open.phase is BreakerPhase.OPEN
-        note("C7 circuit breaker: PASS (transition table + monotone recovery ramp)")
-
-
-class TestC8WeightFunction:
-    def test_c8_pinned_points_and_ranges(self):
-        assert compose_weight(WeightFactors(1.0, 1.0, 1.0, 1.0, 1.0)) == 1.0
-        assert compose_weight(WeightFactors(1.0, 1.0, 1.0, 1.0, INFINITE)) == INFINITE
-        assert rate_limit_factor(0.05) == pytest.approx(2.0)
-        assert rate_limit_factor(0.0) == INFINITE
-
-        rng = random.Random(8)
-        clock = SimClock()
-        state = ToolState("t")
-        for _ in range(500):
-            clock.advance(rng.randint(1, 60_000))
-            if rng.random() < 0.5:
-                state.record_call(clock, rng.uniform(0, 10_000), rng.random() < 0.7)
-            else:
-                state.run_health_probe(clock, rng.uniform(0, 10_000), rng.random() < 0.7)
-            f = state.factors(clock.now)
-            assert 0.5 <= f.base_cost <= 5.0
-            assert 0.5 <= f.latency_factor <= 10.0
-            assert 1.0 <= f.reliability_factor <= 50.0
-            assert f.rate_limit_factor >= 1.0
-            assert f.availability_factor in (1.0, INFINITE)
-        note("C8 weight function: PASS (pinned points exact, 500 fuzzed updates in range)")
+        note("C7 circuit breaker: PASS (trip, held open, reopen, close, half-open failure)")
 
 
 class TestC9RiskProjection:

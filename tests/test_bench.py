@@ -6,10 +6,11 @@ import pytest
 
 from toolrouter.bench import (
     BenchConfig,
+    BenchError,
     BenchResult,
     ConfigInvalid,
     DigestMismatch,
-    ScaleProjection,
+    ResultCorrupt,
     UnsupportedFormat,
     diff_against_fixtures,
     load_result,
@@ -137,6 +138,27 @@ class TestPersistence:
         with pytest.raises(DigestMismatch):
             load_result(path, strict=True)
 
+    @pytest.mark.parametrize(
+        "corrupt, names",
+        [
+            (lambda doc: doc["rows"][0].update(bogus=1), "rows[0]: field 'bogus' is unknown"),
+            (lambda doc: doc["rows"][1].pop("status"), "rows[1]: field 'status' is missing"),
+            (lambda doc: doc["rows"][0].update(scenario="S99"), "rows[0]: unknown scenario 'S99'"),
+            (lambda doc: doc["rows"].__setitem__(0, 7), "rows[0] must be a JSON object"),
+            (lambda doc: doc["aggregates"].update(shr=[]), "aggregates.shr must be an object"),
+            (lambda doc: doc.pop("metadata"), "'metadata' is missing"),
+        ],
+        ids=["unknown_field", "missing_field", "unknown_scenario", "row_type", "aggregate", "metadata"],
+    )
+    def test_corrupt_result_names_the_field(self, result, tmp_path, corrupt, names):
+        path = tmp_path / "result.json"
+        doc = json.loads(result.to_json())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ResultCorrupt) as err:
+            load_result(path)
+        assert str(err.value).startswith(f"{path}: {names}")
+
 
 class TestProjection:
     def test_reference_rows(self):
@@ -153,11 +175,10 @@ class TestProjection:
         assert all(v == 0 for k, v in row.items() if k != "tasks_per_day")
 
     def test_linearity(self, rng):
-        p = ScaleProjection()
         for _ in range(50):
             n = rng.randint(1, 10_000_000)
             k = rng.randint(2, 9)
-            base, scaled = project_risk([n, k * n], p)
+            base, scaled = project_risk([n, k * n])
             for key in base:
                 if key == "tasks_per_day":
                     continue
@@ -174,9 +195,9 @@ class TestProjection:
         assert rows[2]["shr_recovery_seconds"] <= 50
 
     def test_validation(self):
-        with pytest.raises(Exception):
-            ScaleProjection(failure_rate=1.5).validate()
-        with pytest.raises(Exception):
+        with pytest.raises(BenchError, match="failure_rate"):
+            project_risk([1], failure_rate=1.5)
+        with pytest.raises(BenchError, match="tasks_per_day"):
             project_risk([-1])
 
     def test_rendering(self):

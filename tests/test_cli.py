@@ -121,6 +121,33 @@ class TestProject:
         assert rows[0]["recovery_events_per_day"] == 500
 
 
+def _write(directory, text: str) -> str:
+    path = directory / "result.json"
+    path.write_text(text)
+    return str(path)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (lambda tmp: ["project", "--failure-rate", "1.5"], "failure_rate"),
+            (lambda tmp: ["report", "--in", str(tmp / "missing.json")], "missing.json"),
+            (lambda tmp: ["report", "--in", _write(tmp, "not json")], "invalid JSON"),
+            (lambda tmp: ["report", "--in", _write(tmp, '{"rows": 1}')], "rows must be a JSON array"),
+            (lambda tmp: ["latency", "--repetitions", "0"], "repetitions"),
+            (lambda tmp: ["project", "--out", str(tmp / "no" / "out.md")], "cannot write"),
+        ],
+        ids=["failure_rate", "missing_file", "not_json", "rows_not_list", "repetitions", "unwritable_out"],
+    )
+    def test_one_error_line_and_exit_2(self, tmp_path, capsys, argv, names):
+        assert main(argv(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and names in line
+
+
 class TestLatency:
     def test_reports_median(self, capsys):
         assert main(["latency", "--repetitions", "30"]) == 0

@@ -9,12 +9,10 @@ from oracle import brute_force_shortest
 from toolrouter.graph import (
     INFINITE,
     GraphError,
-    GraphFormatError,
     NonPositiveWeight,
     ToolGraph,
     UnknownEdge,
     UnknownNode,
-    load_graph_json,
 )
 from toolrouter.topologies import START, TopologyKind, build_topology
 
@@ -237,33 +235,3 @@ class TestFork:
         assert not support_graph.has_edge("crm", "email") and not support_graph.has_edge("stripe", "goal_refund")
         assert support_graph.fork().to_json() != origin  # the origin's own write stays with it
 
-
-class TestLoader:
-    def test_round_trip(self, support_graph):
-        text = support_graph.to_json()
-        loaded = load_graph_json(text)
-        assert loaded.nodes == support_graph.nodes
-        assert {(e.src, e.dst, e.base_weight) for e in loaded.edges()} == {
-            (e.src, e.dst, e.base_weight) for e in support_graph.edges()
-        }
-
-    def test_invalid_json_reports_line(self):
-        with pytest.raises(GraphFormatError) as err:
-            load_graph_json('{"nodes": [\n  {"id": "a"},\n]}')
-        assert err.value.line is not None
-
-    def test_unknown_edge_endpoint_reports_location(self):
-        doc = '{"nodes": [{"id": "a"}],\n "edges": [{"from": "a", "to": "b", "weight": 1.0}]}'
-        with pytest.raises(GraphFormatError) as err:
-            load_graph_json(doc)
-        assert "b" in str(err.value)
-
-    def test_rejects_nonpositive_weight(self):
-        doc = '{"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"from": "a", "to": "b", "weight": 0}]}'
-        with pytest.raises(GraphFormatError):
-            load_graph_json(doc)
-
-    def test_rejects_duplicate_ids(self):
-        doc = '{"nodes": [{"id": "a"}, {"id": "a"}], "edges": []}'
-        with pytest.raises(GraphFormatError):
-            load_graph_json(doc)

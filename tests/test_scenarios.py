@@ -109,8 +109,20 @@ class TestLoading:
             (lambda doc: doc.pop("expected"), "'expected' is missing"),
             (lambda doc: doc.update(faults={"tool": "stripe"}), "faults must be a list, got dict"),
             (lambda doc: doc.update(topology="ring"), "'ring' is not a valid TopologyKind"),
+            (lambda doc: doc.update(request="text"), "request must be an object, got str"),
+            (lambda doc: doc["request"].update(text=5), "request text must be a string, got int"),
+            (lambda doc: doc["request"].update(amount="lots"), "amount must be null or a number >= 0, got 'lots'"),
+            (lambda doc: doc["request"].update(amount=-5), "amount must be null or a number >= 0, got -5"),
+            (lambda doc: doc["request"].update(amount=True), "amount must be null or a number >= 0, got True"),
+            (lambda doc: doc["request"].update(risk_score="high"), "risk_score must be null or a number >= 0, got 'high'"),
+            (lambda doc: doc.update(faults=["stripe"]), "faults[0] must be an object, got str"),
+            (lambda doc: doc["faults"][0].update(tool="warp_drive"), "fault entry references unknown tool 'warp_drive'"),
         ],
-        ids=["effect", "request_text", "at_step", "expected", "faults_object", "topology"],
+        ids=[
+            "effect", "request_text", "at_step", "expected", "faults_object", "topology",
+            "request_type", "text_type", "amount_type", "amount_negative", "amount_bool",
+            "risk_score_type", "fault_entry_type", "unknown_tool",
+        ],
     )
     def test_malformed_scenario_names_the_field(self, tmp_path, corrupt, names):
         self._copy_fixtures(tmp_path)

@@ -1,6 +1,9 @@
-"""Print the chained CRC-32 trace digests of the five digest corpora.
+"""Check the chained CRC-32 trace digests of the five digest corpora.
 
     python3 tests/trace_digests.py
+
+Prints each digest and exits 1 if any differs from ``EXPECTED``, printing
+old -> new for each that moved.
 
 Run from anywhere; the package comes from ``src/`` and the workloads from
 ``perfbench/workloads.py`` of this checkout.  Each digest is CRC-32 chained
@@ -12,7 +15,8 @@ over ``ExecutionTrace.to_json()`` in run order:
   tasks of ``WORKLOADS[name](11)``
 
 A change that keeps trace semantics leaves all five unchanged; one that
-changes them records old -> new and why.  Takes a few seconds.
+changes them updates ``EXPECTED`` and records old -> new and why.  Takes a
+few seconds.
 """
 
 from __future__ import annotations
@@ -30,6 +34,13 @@ from workloads import WORKLOADS  # noqa: E402
 
 WORKLOAD_SEED = 11
 WORKLOAD_TASKS = {"paper_fuzz": 3_000, "wide_catalog": 400, "long_session": 6_000}
+EXPECTED = {
+    "fixtures": "965b3cb6",
+    "fuzz": "1a08c54b",
+    "paper_fuzz": "2042c5fd",
+    "wide_catalog": "8d35fffd",
+    "long_session": "8141714d",
+}
 
 
 def chained(traces) -> str:
@@ -58,13 +69,21 @@ def fuzz_traces(iterations: int, seed: int) -> tuple[list, dict]:
 
 
 def main() -> int:
-    print(f"fixtures      {chained(run_self_healing(s) for s in load_scenarios())}")
+    got = {"fixtures": chained(run_self_healing(s) for s in load_scenarios())}
     traces, stats = fuzz_traces(1000, seed=42)
-    print(f"fuzz          {chained(traces)}  {stats}")
+    got["fuzz"] = chained(traces)
+    print(f"fuzz stats    {stats}")
     for name, tasks in WORKLOAD_TASKS.items():
         workload = WORKLOADS[name](WORKLOAD_SEED)
-        print(f"{name:<13} {chained(workload.run_task(t) for t in workload.tasks[:tasks])}")
-    return 0
+        got[name] = chained(workload.run_task(t) for t in workload.tasks[:tasks])
+    moved = 0
+    for name, digest in got.items():
+        if digest == EXPECTED[name]:
+            print(f"{name:<13} {digest}")
+        else:
+            print(f"{name:<13} {EXPECTED[name]} -> {digest}  MOVED")
+            moved += 1
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
