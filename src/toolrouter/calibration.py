@@ -2,8 +2,10 @@
 
 Each tool carries a sliding telemetry window and a three-state circuit
 breaker (CLOSED / OPEN / HALF_OPEN).  The breaker feeds the tool_health
-monitor and the probers.  No calibration value is an edge cost: search runs
-on the graph's fixed costs, and a failed tool leaves routing by quarantine.
+monitor and the probers.  ``latency_factor`` and ``reliability_factor``
+normalise what a window holds; no run reads them.  No calibration value is
+an edge cost: search runs on the graph's fixed costs, and a failed tool
+leaves routing by quarantine.
 
 All timing runs off an explicit simulated clock; wall time is never read,
 so any sequence of events replays bit-identically.
@@ -17,6 +19,9 @@ from enum import Enum
 
 WINDOW_CAPACITY = 100
 WINDOW_HORIZON_MS = 15 * 60 * 1000
+
+LATENCY_RANGE = (0.5, 10.0)
+RELIABILITY_RANGE = (1.0, 50.0)
 
 
 class CalibrationError(Exception):
@@ -73,6 +78,26 @@ class TelemetryWindow:
 
     def __len__(self) -> int:
         return len(self._samples)
+
+
+def latency_factor(window: TelemetryWindow, nominal_latency_ms: float, now_ms: int) -> float:
+    """Windowed mean latency over nominal, clamped to LATENCY_RANGE; 1.0 when empty."""
+    if nominal_latency_ms <= 0:
+        raise OutOfRange("nominal latency must be > 0")
+    rows = window.samples(now_ms)
+    if not rows:
+        return 1.0
+    lo, hi = LATENCY_RANGE
+    return min(hi, max(lo, sum(s.latency_ms for s in rows) / len(rows) / nominal_latency_ms))
+
+
+def reliability_factor(window: TelemetryWindow, now_ms: int) -> float:
+    """Linear in the windowed error rate across RELIABILITY_RANGE; 1.0 when empty."""
+    rows = window.samples(now_ms)
+    if not rows:
+        return 1.0
+    lo, hi = RELIABILITY_RANGE
+    return lo + sum(1 for s in rows if not s.success) / len(rows) * (hi - lo)
 
 
 class BreakerPhase(Enum):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from toolrouter.calibration import (
+    LATENCY_RANGE,
     BreakerPhase,
     BreakerState,
     OutOfRange,
@@ -10,7 +11,57 @@ from toolrouter.calibration import (
     TelemetryWindow,
     ToolCalibration,
     ToolState,
+    latency_factor,
+    reliability_factor,
 )
+
+
+class TestLatencyFactor:
+    def _window(self, latencies, now=0):
+        w = TelemetryWindow()
+        for lat in latencies:
+            w.append(now, lat, True)
+        return w
+
+    def test_ratio_identity(self):
+        assert latency_factor(self._window([200, 200, 200]), 200, 0) == pytest.approx(1.0)
+
+    def test_degraded_tool_quadruples(self):
+        assert latency_factor(self._window([800, 800]), 200, 0) == pytest.approx(4.0)
+
+    def test_fast_tool_clamps_low(self):
+        assert latency_factor(self._window([50]), 200, 0) == pytest.approx(0.5)
+
+    def test_empty_window_is_neutral(self):
+        assert latency_factor(TelemetryWindow(), 200, 0) == 1.0
+
+    def test_clamps_high(self):
+        assert latency_factor(self._window([99_999]), 10, 0) == LATENCY_RANGE[1]
+
+    def test_nonpositive_nominal_rejected(self):
+        with pytest.raises(OutOfRange):
+            latency_factor(TelemetryWindow(), 0, 0)
+
+
+class TestReliabilityFactor:
+    def _window(self, failures, total, now=0):
+        w = TelemetryWindow()
+        for i in range(total):
+            w.append(now, 100, i >= failures)
+        return w
+
+    def test_zero_errors(self):
+        assert reliability_factor(self._window(0, 100), 0) == 1.0
+
+    def test_total_failure_hits_ceiling(self):
+        assert reliability_factor(self._window(100, 100), 0) == 50.0
+
+    def test_ten_percent_error_rate(self):
+        # independent arithmetic: 1.0 + 0.10 * (50.0 - 1.0) = 5.9
+        assert reliability_factor(self._window(10, 100), 0) == pytest.approx(5.9)
+
+    def test_empty_window_is_neutral(self):
+        assert reliability_factor(TelemetryWindow(), 0) == 1.0
 
 
 class TestWindowDiscipline:
