@@ -15,6 +15,7 @@ import random
 import statistics
 import time
 import zlib
+from copy import deepcopy
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -122,10 +123,11 @@ class BenchResult:
     metadata: dict
 
     def as_dict(self) -> dict:
+        """A fresh document: editing it leaves the result as it was."""
         return {
             "rows": [r.as_dict() for r in self.rows],
-            "aggregates": self.aggregates,
-            "metadata": self.metadata,
+            "aggregates": deepcopy(self.aggregates),
+            "metadata": deepcopy(self.metadata),
         }
 
     def to_json(self) -> str:

@@ -3,10 +3,11 @@
 Tools are nodes and directed edges carry strictly positive finite costs that
 never change once added.  Quarantine is a set of nodes: an edge is usable
 only while neither endpoint is quarantined, so an edge wired in after a
-quarantine is excluded too.  Search is one reverse Dijkstra pass from the
-goal with a binary heap, O((V+E) log V), stopping once the source is
-settled.  Among equal-cost routes the lexicographically smallest node-id
-sequence wins, so identical graph states always produce identical paths.
+quarantine is excluded too.  Search is one forward Dijkstra pass from the
+source with a binary heap, O((V+E) log V), stopping once the goal is
+settled, so it settles only the nodes cheaper than the route.  Among
+equal-cost routes the lexicographically smallest node-id sequence wins, so
+identical graph states always produce identical paths.
 
 Every query recomputes from scratch rather than caching, so the route
 always reflects the current quarantine set.  Graphs made by ``fork`` share
@@ -114,10 +115,11 @@ class ToolGraph:
             raise GraphError("node id must be a non-empty string")
         if self._shared:
             self._unshare()
-        if node_id not in self.nodes:
+        out = self._out
+        if node_id not in out:
             self.nodes.add(node_id)
-            self.base_costs[node_id] = float(base_cost)
-            self._out[node_id] = {}
+            self.base_costs[node_id] = base_cost if type(base_cost) is float else float(base_cost)
+            out[node_id] = {}
             self._in[node_id] = {}
         if sentinel:
             self.sentinels.add(node_id)
@@ -125,15 +127,18 @@ class ToolGraph:
     def add_edge(self, src: str, dst: str, weight: float) -> None:
         if src == dst:
             raise GraphError(f"self-loop on {src!r} not allowed")
-        if src not in self.nodes:
+        out = self._out  # keyed by exactly the declared nodes
+        if src not in out:
             raise UnknownNode(f"edge endpoint {src!r} is not a declared node")
-        if dst not in self.nodes:
+        if dst not in out:
             raise UnknownNode(f"edge endpoint {dst!r} is not a declared node")
-        if not (isinstance(weight, (int, float)) and 0 < weight < INFINITE):
+        is_float = type(weight) is float
+        if not ((is_float or isinstance(weight, (int, float))) and 0 < weight < INFINITE):
             raise NonPositiveWeight(f"edge weight must be finite and > 0, got {weight!r}")
         if self._shared:
             self._unshare()
-        self._out[src][dst] = self._in[dst][src] = float(weight)
+            out = self._out
+        out[src][dst] = self._in[dst][src] = weight if is_float else float(weight)
 
     # -- inspection ---------------------------------------------------
 
@@ -190,13 +195,16 @@ class ToolGraph:
     def shortest_path(self, source: str, goal: str) -> RoutePath | None:
         """Minimum-cost path over unquarantined edges, or None if no route.
 
-        One reverse Dijkstra pass from ``goal`` stops once ``source`` is
-        settled.  Weights are positive, so every node after the source on a
-        minimum-cost path is nearer the goal and already settled.  The path
-        is then rebuilt by a greedy walk that at each hop takes the
-        smallest-id settled neighbor lying on a minimum-cost completion;
-        ties therefore resolve to the lexicographically smallest node-id
-        sequence.
+        One forward Dijkstra pass from ``source`` stops once ``goal`` is
+        settled, so only nodes cheaper than the route are settled.  Every
+        node on a minimum-cost route is among them, joined to the next by a
+        tight edge (``dist[u] + w == dist[v]``).  One backward sweep from
+        the goal over tight in-edges reaches exactly the settled nodes with
+        a tight route to the goal, and gives each its smallest-id tight
+        successor among them; a tight successor with no such route is a
+        dead end and never chosen.  The path follows those successors from
+        the source, so ties resolve to the lexicographically smallest
+        node-id sequence.
         """
         for n in (source, goal):
             if n not in self.nodes:
@@ -207,36 +215,48 @@ class ToolGraph:
         blocked = self.quarantined
         if source in blocked or goal in blocked:
             return None
-        to_goal: dict[str, float] = {}  # settled distances
-        best = {goal: 0.0}
-        heap: list[tuple[float, str]] = [(0.0, goal)]
+        out = self._out
+        dist: dict[str, float] = {}  # settled distances from the source
+        best = {source: 0.0}
+        heap: list[tuple[float, str]] = [(0.0, source)]
         while heap:
             cost, node = heappop(heap)
-            if node in to_goal:
+            if node in dist:
                 continue
-            to_goal[node] = cost
-            if node == source:
+            dist[node] = cost
+            if node == goal:
                 break
-            for prev, w in self._in[node].items():
-                if prev in to_goal or prev in blocked:
+            for nxt, w in out[node].items():
+                if nxt in dist or nxt in blocked:
                     continue
                 cand = cost + w
-                if cand < best.get(prev, INFINITE):
-                    best[prev] = cand
-                    heappush(heap, (cand, prev))
+                if cand < best.get(nxt, INFINITE):
+                    best[nxt] = cand
+                    heappush(heap, (cand, nxt))
         else:
             return None
+        step: dict[str, str] = {}  # swept node -> its smallest-id swept tight successor
+        stack = [goal]
+        inbound = self._in
+        while stack:
+            node = stack.pop()
+            reach = dist[node]
+            for prev, w in inbound[node].items():
+                if prev in dist and abs(dist[prev] + w - reach) < 1e-9:
+                    first = step.get(prev)
+                    if first is None:
+                        step[prev] = node
+                        stack.append(prev)
+                    elif node < first:
+                        step[prev] = node
         path = [source]
         node = source
         total = 0.0
         while node != goal:
-            remaining = to_goal[node]
-            targets = self._out[node]
-            node = min(
-                nxt for nxt, w in targets.items() if nxt in to_goal and abs(w + to_goal[nxt] - remaining) < 1e-9
-            )
-            total += targets[node]
-            path.append(node)
+            nxt = step[node]
+            total += out[node][nxt]
+            path.append(nxt)
+            node = nxt
         return RoutePath(tuple(path), total)
 
     # -- serialization ------------------------------------------------

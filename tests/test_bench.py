@@ -127,6 +127,14 @@ class TestPersistence:
         again = load_result(path)
         assert again.as_dict() == result.as_dict()
 
+    def test_edited_doc_leaves_the_result_unchanged(self, result):
+        before = result.to_json()
+        doc = result.as_dict()
+        doc["metadata"]["fixture_digest"] = "feedface"
+        doc["aggregates"]["shr"]["correct"] = -1
+        doc["rows"][0]["correct"] = None
+        assert result.to_json() == before
+
     def test_edited_fixture_digest_warns(self, result, tmp_path, caplog):
         path = tmp_path / "result.json"
         doc = result.as_dict()

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import brute_force_shortest
 from toolrouter.graph import (
@@ -90,6 +92,50 @@ class TestShortestPath:
         g.add_edge("b", "z", 1.0)
         g.add_edge("c", "z", 1.0)
         assert g.shortest_path("a", "z").nodes == ("a", "b", "z")
+
+    def test_tight_dead_end_is_skipped(self):
+        # b lies on a cost-1 edge from a but has no route onward, so a walk
+        # that follows tight edges forward without looking ahead would take it.
+        g = ToolGraph()
+        for n in ("a", "b", "c", "z"):
+            g.add_node(n)
+        g.add_edge("a", "b", 1.0)
+        g.add_edge("a", "c", 1.0)
+        g.add_edge("c", "z", 1.0)
+        path = g.shortest_path("a", "z")
+        assert path.nodes == ("a", "c", "z") and path.total_cost == 2.0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_search_sequences_match_brute_force(self, data):
+        """Quarantines, demotion lanes and goal changes between searches
+        from random sources, over tie-prone weights."""
+        names = [f"n{i}" for i in range(data.draw(st.integers(2, 9), label="nodes"))]
+        pairs = [(a, b) for a in names for b in names if a != b]
+        node, pair, weight = st.sampled_from(names), st.sampled_from(pairs), st.sampled_from((0.5, 1.0, 2.0, 3.0))
+        g = ToolGraph()
+        for name in names:
+            g.add_node(name)
+        for a, b in data.draw(st.lists(pair, max_size=3 * len(names), unique=True), label="edges"):
+            g.add_edge(a, b, data.draw(weight))
+        goal = data.draw(node, label="goal")
+        steps = st.sampled_from(("quarantine", "lane", "goal", "search", "search"))
+        for step in data.draw(st.lists(steps, min_size=1, max_size=12), label="steps"):
+            if step == "quarantine":
+                g.quarantine_node(data.draw(node))
+            elif step == "lane":
+                a, b = data.draw(pair)
+                if not g.has_edge(a, b):
+                    g.add_edge(a, b, data.draw(weight))
+            elif step == "goal":
+                goal = data.draw(node)
+            else:
+                source = data.draw(node)
+                before = g.search_count
+                got = g.shortest_path(source, goal)
+                assert g.search_count == before + 1
+                expected = brute_force_shortest(g, source, goal)
+                assert (None if got is None else (got.total_cost, got.nodes)) == expected
 
     def test_never_returns_a_path_through_infinite_edges(self):
         rng = random.Random(99)
