@@ -17,11 +17,11 @@ which is precisely the silent-failure mode the auditor exists to expose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .calibration import SimClock
 from .orchestrator import ExecutionTrace, ToolCall, TraceStatus
-from .scenarios import Scenario
+from .scenarios import Scenario, ScheduledInvoker
 from .topologies import achieved_outcomes
 
 
@@ -82,16 +82,12 @@ def run_react(scenario: Scenario) -> ExecutionTrace:
     fault schedule.  Graph-level recoveries are always zero: every failure
     is absorbed by extra reasoning steps instead."""
     script = REACT_SCRIPTS[scenario.id]
-    invoker = scenario.fresh_invoker()
+    invoker = ScheduledInvoker(scenario.faults)
     clock = SimClock()
     trace = ExecutionTrace(goal_id=scenario.topology.goal.id, final_goal=scenario.topology.goal.id)
     trace.llm_calls = script.llm_calls
     for node in script.acts:
-        outcome = invoker.invoke(node, clock)
-        clock.advance(outcome.latency_ms)
-        trace.tool_calls.append(ToolCall(node, outcome.success, outcome.failure_kind, clock.now))
-        if outcome.success:
-            trace.completed.add(node)
+        _call(trace, invoker, clock, node)
     if script.terminal == "escalate":
         trace.status = TraceStatus.ESCALATED
         trace.resolution = {"kind": "handoff", "note": "model handed the case to a human"}
@@ -195,7 +191,7 @@ def _call(trace: ExecutionTrace, invoker, clock: SimClock, node: str) -> bool:
 
 
 def _run_staged_workflow(scenario: Scenario, stages) -> ExecutionTrace:
-    invoker = scenario.fresh_invoker()
+    invoker = ScheduledInvoker(scenario.faults)
     clock = SimClock()
     trace = ExecutionTrace(goal_id=scenario.topology.goal.id, final_goal=scenario.topology.goal.id)
     for stage in stages:
@@ -223,7 +219,7 @@ def _run_staged_workflow(scenario: Scenario, stages) -> ExecutionTrace:
 
 
 def _run_moderation_workflow(scenario: Scenario) -> tuple[ExecutionTrace, int]:
-    invoker = scenario.fresh_invoker()
+    invoker = ScheduledInvoker(scenario.faults)
     clock = SimClock()
     trace = ExecutionTrace(goal_id=scenario.topology.goal.id, final_goal=scenario.topology.goal.id)
     lost = 0

@@ -19,9 +19,9 @@ from copy import deepcopy
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .baselines import audit, run_react, run_static_workflow
-from .calibration import SimClock
-from .orchestrator import TraceStatus
+from .baselines import AuditReport, audit, run_react, run_static_workflow
+from .monitors import MonitorConfig
+from .orchestrator import ExecutionTrace, TaskRequest, TraceStatus
 from .scenarios import (
     EXPECTED_FIXTURE_DIGEST,
     SCENARIO_IDS,
@@ -29,14 +29,11 @@ from .scenarios import (
     FaultEffect,
     FaultSchedule,
     Scenario,
-    ScheduledInvoker,
-    ScheduledProber,
     load_scenarios,
+    run_schedule,
     run_self_healing,
-    scenario_tool_states,
 )
 from .topologies import START, TopologyKind, achieved_outcomes, build_topology
-from .orchestrator import RuleReasoner, TaskRequest, execute_task
 
 logger = logging.getLogger(__name__)
 
@@ -144,7 +141,8 @@ class BenchResult:
                 raise ResultCorrupt(f"aggregates: unknown architecture {arch!r}")
             if not isinstance(agg, dict) or not _AGGREGATE_KEYS <= set(agg):
                 raise ResultCorrupt(f"aggregates.{arch} must be an object with keys {sorted(_AGGREGATE_KEYS)}")
-        return BenchResult(rows=rows, aggregates=aggregates, metadata=_member(doc, "metadata", dict))
+        metadata = _member(doc, "metadata", dict)
+        return BenchResult(rows=rows, aggregates=deepcopy(aggregates), metadata=deepcopy(metadata))
 
     @staticmethod
     def from_json(text: str) -> "BenchResult":
@@ -226,20 +224,25 @@ def run_benchmark(config: BenchConfig | None = None) -> BenchResult:
     return result
 
 
-def _run_one(scenario: Scenario, arch: str) -> BenchRow:
+def run_architecture(
+    scenario: Scenario, arch: str, monitor_config: MonitorConfig | None = None
+) -> tuple[ExecutionTrace, AuditReport]:
+    """Run one scenario under one architecture and audit the trace; the one
+    place the three architectures are told apart.  ``monitor_config``
+    reaches the self-healing router only."""
     if arch == "shr":
-        trace = run_self_healing(scenario)
-        report = audit(trace, scenario)
-        lost = None
+        trace = run_self_healing(scenario, monitor_config)
     elif arch == "react":
         trace = run_react(scenario)
-        report = audit(trace, scenario)
-        lost = None
     elif arch == "static":
-        trace, report = run_static_workflow(scenario)
-        lost = report.classifiers_lost
+        return run_static_workflow(scenario)
     else:
         raise ConfigInvalid(f"unknown architecture {arch!r}")
+    return trace, audit(trace, scenario)
+
+
+def _run_one(scenario: Scenario, arch: str) -> BenchRow:
+    trace, report = run_architecture(scenario, arch)
     return BenchRow(
         scenario=scenario.id,
         domain=scenario.domain,
@@ -250,7 +253,7 @@ def _run_one(scenario: Scenario, arch: str) -> BenchRow:
         recoveries=trace.recovery_events,
         silent_failure=report.silent_failure,
         status=trace.status.value,
-        classifiers_lost=lost,
+        classifiers_lost=report.classifiers_lost,
     )
 
 
@@ -503,24 +506,8 @@ def run_fuzz(iterations: int, seed: int = 0) -> dict:
     kinds = list(TopologyKind)
     stats = {"runs": 0, "success": 0, "escalated": 0, "silent": 0, "recoveries": 0, "llm_calls": 0}
     for i in range(iterations):
-        kind = kinds[i % len(kinds)]
-        topo = build_topology(kind)
-        schedule = random_schedule(kind, rng)
-        graph = topo.fresh_graph()
-        invoker = ScheduledInvoker(schedule)
-        prober = ScheduledProber(schedule, invoker)
-        request = TaskRequest(text="fuzz task", amount=None)
-        trace = execute_task(
-            topo.goal,
-            graph,
-            invoker,
-            RuleReasoner(),
-            SimClock(),
-            request,
-            start=START,
-            tool_states=scenario_tool_states(graph),
-            prober=prober,
-        )
+        topo = build_topology(kinds[i % len(kinds)])
+        trace = run_schedule(topo, random_schedule(topo.kind, rng), TaskRequest(text="fuzz task"))
         met = achieved_outcomes(topo.domain, trace.successes(), demoted=bool(trace.demotions))
         silent = trace.status is TraceStatus.SUCCESS and not set(topo.required_outcomes) <= met
         stats["runs"] += 1

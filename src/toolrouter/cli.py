@@ -21,7 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-from .baselines import audit, run_react, run_static_workflow
 from .bench import (
     BenchConfig,
     BenchError,
@@ -33,11 +32,12 @@ from .bench import (
     project_risk,
     render_projection,
     render_report,
+    run_architecture,
     run_benchmark,
     run_fuzz,
 )
 from .monitors import MonitorConfig, MonitorError
-from .scenarios import load_scenarios, run_self_healing
+from .scenarios import load_scenarios
 
 ENV_CONFIG = "TOOLROUTER_CONFIG"
 
@@ -85,19 +85,14 @@ def _cmd_run(args) -> int:
         print(f"unknown scenario {args.scenario!r}; choose from {sorted(scenarios)}", file=sys.stderr)
         return 2
     scenario = scenarios[args.scenario]
+    monitor_config = None
     if args.arch == "shr":
         try:
             monitor_config = _env_monitor_config()
         except MonitorError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        trace = run_self_healing(scenario, monitor_config=monitor_config)
-        report = audit(trace, scenario)
-    elif args.arch == "react":
-        trace = run_react(scenario)
-        report = audit(trace, scenario)
-    else:
-        trace, report = run_static_workflow(scenario)
+    trace, report = run_architecture(scenario, args.arch, monitor_config)
     if args.format == "json":
         doc = {"trace": trace.as_dict(), "audit": report.as_dict()}
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)

@@ -10,7 +10,6 @@ so a sweep costs microseconds and is fully deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -91,14 +90,6 @@ class MonitorConfig:
     risk_amount_threshold: float = 10_000.0
     risk_score_threshold: float = 0.8
     risk_priority = RISK_PRIORITY  # a flagged request's priority; not a setting
-
-    @staticmethod
-    def from_json(text: str) -> "MonitorConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MonitorError(f"invalid JSON: {exc}") from exc
-        return MonitorConfig.from_dict(doc)
 
     @staticmethod
     def from_dict(doc: object) -> "MonitorConfig":

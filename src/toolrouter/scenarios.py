@@ -9,14 +9,17 @@ raises ``FixtureCorrupt`` naming the scenario and the field.
 The fault schedule drives a deterministic invoker and prober: effects say
 when a tool is down (from the start, or once k call attempts happened)
 and whether background health probes can see the outage before a request
-trips over it.
+trips over it.  ``run_schedule`` is the one place a scheduled run of the
+router is set up; the fixtures (``run_self_healing``), the fuzzer and the
+tests all go through it.  ``bench.run_architecture`` is the one place the
+three architectures are told apart.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -32,7 +35,7 @@ from .orchestrator import (
     TaskRequest,
     execute_task,
 )
-from .topologies import START, Topology, TopologyKind, build_topology
+from .topologies import START, Topology, build_topology
 
 SCENARIO_IDS = [
     "S1", "S2", "S3", "S4", "S5", "S6", "S7",
@@ -197,12 +200,6 @@ class Scenario:
     def domain(self) -> str:
         return self.topology.domain
 
-    def fresh_invoker(self) -> ScheduledInvoker:
-        return ScheduledInvoker(self.faults)
-
-    def fresh_prober(self, invoker: ScheduledInvoker) -> ScheduledProber:
-        return ScheduledProber(self.faults, invoker)
-
 
 def _count(section: dict, key: str) -> int:
     value = section.get(key, 0)
@@ -346,24 +343,32 @@ class _StatesOnDemand(dict):
         return self[tool] if tool in self.tools else default
 
 
-def run_self_healing(scenario: Scenario, monitor_config: MonitorConfig | None = None) -> ExecutionTrace:
-    """Execute one scenario with the routing orchestrator; counts emerge
-    from the algorithm, never from the fixture."""
-    graph = scenario.topology.fresh_graph()
-    invoker = scenario.fresh_invoker()
-    prober = scenario.fresh_prober(invoker)
-    states = scenario_tool_states(graph)
-    clock = SimClock()
-    trace = execute_task(
-        scenario.topology.goal,
+def run_schedule(
+    topology: Topology,
+    schedule: FaultSchedule,
+    request: TaskRequest,
+    monitor_config: MonitorConfig | None = None,
+) -> ExecutionTrace:
+    """Run one task with the routing orchestrator on a fresh graph of
+    ``topology`` against ``schedule``: a fresh clock, hard-failure tool
+    states, the rule reasoner, and a prober over the same schedule."""
+    graph = topology.fresh_graph()
+    invoker = ScheduledInvoker(schedule)
+    return execute_task(
+        topology.goal,
         graph,
         invoker,
         RuleReasoner(),
-        clock,
-        scenario.request,
+        SimClock(),
+        request,
         start=START,
-        monitor_config=monitor_config or scenario.monitor_config,
-        tool_states=states,
-        prober=prober,
+        monitor_config=monitor_config,
+        tool_states=scenario_tool_states(graph),
+        prober=ScheduledProber(schedule, invoker),
     )
-    return trace
+
+
+def run_self_healing(scenario: Scenario, monitor_config: MonitorConfig | None = None) -> ExecutionTrace:
+    """Execute one scenario with the routing orchestrator; counts emerge
+    from the algorithm, never from the fixture."""
+    return run_schedule(scenario.topology, scenario.faults, scenario.request, monitor_config or scenario.monitor_config)

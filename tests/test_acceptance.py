@@ -36,16 +36,14 @@ from toolrouter.calibration import (
     ToolState,
 )
 from toolrouter.monitors import MonitorConfig
-from toolrouter.orchestrator import RuleReasoner, TaskRequest, TraceStatus, execute_task
+from toolrouter.orchestrator import TaskRequest, TraceStatus
 from toolrouter.scenarios import (
     FaultEffect,
     FaultEntry,
     FaultSchedule,
-    ScheduledInvoker,
-    ScheduledProber,
     load_scenarios,
+    run_schedule,
     run_self_healing,
-    scenario_tool_states,
 )
 from toolrouter.topologies import START, TopologyKind, build_topology
 
@@ -179,19 +177,7 @@ class TestC5FailureCountInvariance:
                         for tool in pool[:k]
                     )
                 )
-                graph = topo.fresh_graph()
-                invoker = ScheduledInvoker(schedule)
-                trace = execute_task(
-                    topo.goal,
-                    graph,
-                    invoker,
-                    RuleReasoner(),
-                    SimClock(),
-                    TaskRequest(text="invariance probe task"),
-                    start=START,
-                    tool_states=scenario_tool_states(graph),
-                    prober=ScheduledProber(schedule, invoker),
-                )
+                trace = run_schedule(topo, schedule, TaskRequest(text="invariance probe task"))
                 assert trace.failure_recomputes == 1, (kind, k)
                 assert len(set(trace.quarantined)) == k, (kind, k)
                 assert trace.status in (TraceStatus.SUCCESS, TraceStatus.ESCALATED)

@@ -135,6 +135,14 @@ class TestPersistence:
         doc["rows"][0]["correct"] = None
         assert result.to_json() == before
 
+    def test_edited_source_doc_leaves_the_parsed_result_unchanged(self, result):
+        doc = result.as_dict()
+        parsed = BenchResult.from_dict(doc)
+        before = parsed.to_json()
+        doc["metadata"]["seed"] = 99
+        doc["aggregates"]["shr"]["correct"] = -1
+        assert parsed.to_json() == before
+
     def test_edited_fixture_digest_warns(self, result, tmp_path, caplog):
         path = tmp_path / "result.json"
         doc = result.as_dict()

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
+from toolrouter.bench import ARCHITECTURES, run_benchmark
 from toolrouter.cli import main
+from toolrouter.scenarios import SCENARIO_IDS
+
+
+@pytest.fixture(scope="module")
+def bench_result():
+    return run_benchmark()
 
 
 class TestRun:
@@ -23,6 +30,23 @@ class TestRun:
         assert main(["run", "--scenario", "S6", "--arch", "static", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["audit"]["silent_failure"] is True
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("scenario", SCENARIO_IDS)
+    def test_run_matches_the_benchmark_cell(self, bench_result, capsys, scenario, arch):
+        # ``run`` and ``bench`` both go through ``run_architecture``; one
+        # scenario under one architecture gives the same cell either way.
+        assert main(["run", "--scenario", scenario, "--arch", arch, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        trace, report = doc["trace"], doc["audit"]
+        row = bench_result.row(scenario, arch)
+        assert (
+            trace["llm_calls"], len(trace["tool_calls"]), trace["recovery_events"], trace["status"],
+            report["correct"], report["silent_failure"], report["classifiers_lost"],
+        ) == (
+            row.llm_calls, row.tool_calls, row.recoveries, row.status,
+            row.correct, row.silent_failure, row.classifiers_lost,
+        )
 
     def test_unknown_scenario_fails(self, capsys):
         assert main(["run", "--scenario", "S99"]) == 2

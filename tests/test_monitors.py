@@ -161,17 +161,15 @@ class TestValidation:
         with pytest.raises(MonitorError):
             ctx(amount=-5.0)
 
-    def test_config_from_json(self):
-        cfg = MonitorConfig.from_json('{"risk_amount_threshold": 500.0}')
+    def test_config_from_dict(self):
+        cfg = MonitorConfig.from_dict({"risk_amount_threshold": 500.0})
         assert cfg.risk_amount_threshold == 500.0
         with pytest.raises(MonitorError):
-            MonitorConfig.from_json('{"bogus": 1}')
-        with pytest.raises(MonitorError, match="invalid JSON"):
-            MonitorConfig.from_json('{"risk_priority": ')
+            MonitorConfig.from_dict({"bogus": 1})
         with pytest.raises(MonitorError, match="intent_keywords"):
-            MonitorConfig.from_json('{"intent_keywords": {"refund": 3}}')
+            MonitorConfig.from_dict({"intent_keywords": {"refund": 3}})
         with pytest.raises(MonitorError, match="memory_priority"):
-            MonitorConfig.from_json('{"memory_priority": 0.2}')  # no such monitor
+            MonitorConfig.from_dict({"memory_priority": 0.2})  # no such monitor
 
     @pytest.mark.parametrize(
         "key",

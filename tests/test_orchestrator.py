@@ -24,7 +24,7 @@ from toolrouter.orchestrator import (
     TraceStatus,
     execute_task,
 )
-from toolrouter.scenarios import HealthyInvoker, ScheduledInvoker, ScheduledProber, scenario_tool_states
+from toolrouter.scenarios import HealthyInvoker, run_schedule, scenario_tool_states
 from toolrouter.topologies import START, TopologyKind, build_topology
 
 
@@ -392,23 +392,11 @@ class TestGeneratedRunInvariants:
         for i in range(300):
             topo = build_topology(kinds[i % len(kinds)])
             schedule = random_schedule(topo.kind, rng)
-            graph = topo.fresh_graph()
-            invoker = ScheduledInvoker(schedule)
             if rng.random() < 0.25:
                 request = TaskRequest(text="fuzz task", amount=50_000.0, risk_visible_after=rng.randint(0, 4))
             else:
                 request = TaskRequest(text="fuzz task")
-            trace = execute_task(
-                topo.goal,
-                graph,
-                invoker,
-                RuleReasoner(),
-                SimClock(),
-                request,
-                start=START,
-                tool_states=scenario_tool_states(graph),
-                prober=ScheduledProber(schedule, invoker),
-            )
+            trace = run_schedule(topo, schedule, request)
             assert trace.status in (TraceStatus.SUCCESS, TraceStatus.ESCALATED)
             assert timeline_violations(trace) == [], (i, schedule)
             outcomes.add((trace.status, bool(trace.demotions), trace.recovery_events > 0))

@@ -28,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from toolrouter import bench  # noqa: E402
+from toolrouter import bench, scenarios  # noqa: E402
 from toolrouter.scenarios import load_scenarios, run_self_healing  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -51,20 +51,21 @@ def chained(traces) -> str:
 
 
 def fuzz_traces(iterations: int, seed: int) -> tuple[list, dict]:
-    """The traces ``run_fuzz`` makes, caught at its ``execute_task`` call."""
+    """The traces ``run_fuzz`` makes, caught at the ``execute_task`` call
+    of ``scenarios.run_schedule``."""
     traces = []
-    execute_task = bench.execute_task
+    execute_task = scenarios.execute_task
 
     def recording(*args, **kwargs):
         trace = execute_task(*args, **kwargs)
         traces.append(trace)
         return trace
 
-    bench.execute_task = recording
+    scenarios.execute_task = recording
     try:
         stats = bench.run_fuzz(iterations, seed=seed)
     finally:
-        bench.execute_task = execute_task
+        scenarios.execute_task = execute_task
     return traces, stats
 
 
