@@ -9,11 +9,15 @@ settled, so it settles only the nodes cheaper than the route.  Among
 equal-cost routes the lexicographically smallest node-id sequence wins, so
 identical graph states always produce identical paths.
 
-Every query recomputes from scratch rather than caching, so the route
-always reflects the current quarantine set.  Graphs made by ``fork`` share
-their nodes and edges until one of them adds a node or an edge, which
-copies them first, so a quarantine or a demotion lane stays with the graph
-that made it.
+Graphs made by ``fork`` share their nodes and edges until one of them adds
+a node or an edge, which copies them first, so a quarantine or a demotion
+lane stays with the graph that made it.  While they share them, they also
+share a route memo (Michie's memo functions, 1968): a route is a pure
+function of the frozen adjacency, the source, the goal and the quarantine
+set, so a search asked again under the same quarantine set is a lookup.
+The memo holds at most ``ROUTE_MEMO_ENTRIES`` routes and is cleared when
+full; a graph that was never forked, or that has copied its adjacency,
+keeps none and computes every route.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from heapq import heappop, heappush
 from typing import Iterator
 
 INFINITE = math.inf
+ROUTE_MEMO_ENTRIES = 256  # routes kept per shared adjacency; cleared when full
+_UNSEEN = object()
 
 
 class GraphError(Exception):
@@ -54,7 +60,7 @@ class Edge:
     effective_weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutePath:
     """Shortest-path result: ordered node ids plus the summed cost."""
 
@@ -75,8 +81,15 @@ class ToolGraph:
     without copying them: every graph has its own ``quarantined`` set and
     ``search_count``, and the first ``add_node`` or ``add_edge`` on a
     graph that shares its adjacency copies it, so the write reaches no
-    other graph.  Forks only read what they share, so they may live on
-    distinct threads.
+    other graph.  The graphs sharing an adjacency also share one route
+    memo, keyed by ``(source, goal, frozenset(quarantined))``; copying the
+    adjacency drops the copier's memo, so a demotion lane never reads or
+    writes another task's routes.  The memo holds derived routes, never
+    task progress.  Forks only read the adjacency they share and write only
+    the memo, whose every value is a pure function of its key and that
+    frozen adjacency, so concurrent writers store equal values and forks may
+    live on distinct threads (racing writers may each add one route past
+    the cap).
     """
 
     def __init__(self) -> None:
@@ -86,16 +99,19 @@ class ToolGraph:
         self._in: dict[str, dict[str, float]] = {}  # dst -> {src: weight}
         self.sentinels: set[str] = set()
         self._shared = False  # another graph holds the containers above
+        self._routes: dict[tuple[str, str, frozenset[str]], RoutePath | None] | None = None  # shared while _shared
         self.quarantined: set[str] = set()
-        self.search_count = 0  # shortest_path invocations, for invariance checks
+        self.search_count = 0  # shortest_path invocations, memo hits included
 
     def fork(self) -> ToolGraph:
         """A graph over this graph's nodes and edges, with nothing
-        quarantined and no searches counted.  The two share adjacency until
-        either adds a node or an edge."""
+        quarantined and no searches counted.  The two share adjacency and
+        route memo until either adds a node or an edge."""
         g = ToolGraph()
-        g.nodes, g.base_costs, g.sentinels, g._out, g._in = (
-            self.nodes, self.base_costs, self.sentinels, self._out, self._in
+        if self._routes is None:
+            self._routes = {}
+        g.nodes, g.base_costs, g.sentinels, g._out, g._in, g._routes = (
+            self.nodes, self.base_costs, self.sentinels, self._out, self._in, self._routes
         )
         g._shared = self._shared = True
         return g
@@ -106,6 +122,7 @@ class ToolGraph:
         self.sentinels = set(self.sentinels)
         self._out = {n: dict(targets) for n, targets in self._out.items()}
         self._in = {n: dict(sources) for n, sources in self._in.items()}
+        self._routes = None
         self._shared = False
 
     # -- construction -------------------------------------------------
@@ -195,6 +212,34 @@ class ToolGraph:
     def shortest_path(self, source: str, goal: str) -> RoutePath | None:
         """Minimum-cost path over unquarantined edges, or None if no route.
 
+        Every call counts in ``search_count``.  While the adjacency is
+        shared, a route already found under the same quarantine set is
+        read from the memo; otherwise it is computed (``_search``).
+        """
+        for n in (source, goal):
+            if n not in self.nodes:
+                raise UnknownNode(f"unknown node {n!r}")
+        self.search_count += 1
+        if source == goal:
+            return RoutePath((source,), 0.0)
+        blocked = self.quarantined
+        if source in blocked or goal in blocked:
+            return None
+        memo = self._routes
+        if memo is None:
+            return self._search(source, goal)
+        key = (source, goal, frozenset(blocked))
+        route = memo.get(key, _UNSEEN)
+        if route is _UNSEEN:
+            route = self._search(source, goal)
+            if len(memo) >= ROUTE_MEMO_ENTRIES:
+                memo.clear()
+            memo[key] = route
+        return route
+
+    def _search(self, source: str, goal: str) -> RoutePath | None:
+        """Compute the route between two distinct unquarantined nodes.
+
         One forward Dijkstra pass from ``source`` stops once ``goal`` is
         settled, so only nodes cheaper than the route are settled.  Every
         node on a minimum-cost route is among them, joined to the next by a
@@ -206,15 +251,7 @@ class ToolGraph:
         the source, so ties resolve to the lexicographically smallest
         node-id sequence.
         """
-        for n in (source, goal):
-            if n not in self.nodes:
-                raise UnknownNode(f"unknown node {n!r}")
-        self.search_count += 1
-        if source == goal:
-            return RoutePath((source,), 0.0)
         blocked = self.quarantined
-        if source in blocked or goal in blocked:
-            return None
         out = self._out
         dist: dict[str, float] = {}  # settled distances from the source
         best = {source: 0.0}

@@ -139,7 +139,7 @@ class TraceStatus(Enum):
     ESCALATED = "escalated"
 
 
-@dataclass
+@dataclass(slots=True)
 class ToolCall:
     node: str
     success: bool
@@ -150,7 +150,7 @@ class ToolCall:
         return {"node": self.node, "success": self.success, "failure_kind": self.failure_kind, "at_ms": self.at_ms}
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionTrace:
     """Complete record of one task run; the unit of benchmark accounting."""
 

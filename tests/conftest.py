@@ -11,6 +11,20 @@ sys.path.insert(0, str(Path(__file__).parent))
 from toolrouter.graph import ToolGraph
 
 
+def count_calls(monkeypatch, owner: type, name: str) -> list[int]:
+    """Wrap ``owner.name`` to count its calls; returns a one-item list
+    holding the count."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def make_random_graph(rng: random.Random, max_nodes: int = 8) -> tuple[ToolGraph, str, str]:
     """Small random digraph with deliberately tie-prone weights."""
     n = rng.randint(2, max_nodes)

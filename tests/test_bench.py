@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toolrouter
 from toolrouter.bench import (
     BenchConfig,
     BenchError,
@@ -22,6 +27,9 @@ from toolrouter.bench import (
     run_benchmark,
     run_fuzz,
 )
+from toolrouter.graph import ToolGraph
+
+from conftest import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +233,18 @@ class TestMicrobenchAndFuzz:
     def test_recovery_latency_is_fast(self):
         results = measure_recovery_latency(repetitions=60)
         assert results["overall"]["median_ms"] < 10.0
+
+    def test_recovery_latency_times_computed_searches(self, monkeypatch):
+        searches = count_calls(monkeypatch, ToolGraph, "shortest_path")
+        computed = count_calls(monkeypatch, ToolGraph, "_search")  # not read from the route memo
+        measure_recovery_latency(repetitions=20)
+        assert searches == computed == [3 * 20]
+
+    def test_importing_the_package_leaves_logging_unloaded(self):
+        src = Path(toolrouter.__file__).resolve().parent.parent
+        code = "import sys, toolrouter; sys.exit('logging' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0
 
     def test_fuzz_preserves_structural_guarantees(self):
         stats = run_fuzz(150, seed=11)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,17 @@ from hypothesis import strategies as st
 from oracle import brute_force_shortest
 from toolrouter.graph import (
     INFINITE,
+    ROUTE_MEMO_ENTRIES,
     GraphError,
     NonPositiveWeight,
+    RoutePath,
     ToolGraph,
     UnknownEdge,
     UnknownNode,
 )
 from toolrouter.topologies import START, TopologyKind, build_topology
 
-from conftest import make_random_graph
+from conftest import count_calls, make_random_graph
 
 
 @pytest.fixture
@@ -108,21 +112,48 @@ class TestShortestPath:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.data())
     def test_search_sequences_match_brute_force(self, data):
-        """Quarantines, demotion lanes and goal changes between searches
-        from random sources, over tie-prone weights."""
+        """Quarantines (some of a node on the last route, then a reroute),
+        restores, demotion lanes and goal changes between searches from
+        random sources, over tie-prone weights, on two forks of one base.
+        Every question is asked on both forks: they share a route memo
+        until a lane copies one fork's adjacency, so the oracle checks memo
+        hits, misses and the copy."""
         names = [f"n{i}" for i in range(data.draw(st.integers(2, 9), label="nodes"))]
         pairs = [(a, b) for a in names for b in names if a != b]
         node, pair, weight = st.sampled_from(names), st.sampled_from(pairs), st.sampled_from((0.5, 1.0, 2.0, 3.0))
-        g = ToolGraph()
+        base = ToolGraph()
         for name in names:
-            g.add_node(name)
-        for a, b in data.draw(st.lists(pair, max_size=3 * len(names), unique=True), label="edges"):
-            g.add_edge(a, b, data.draw(weight))
-        goal = data.draw(node, label="goal")
-        steps = st.sampled_from(("quarantine", "lane", "goal", "search", "search"))
+            base.add_node(name)
+        for a, b in data.draw(st.lists(pair, min_size=len(names), max_size=3 * len(names), unique=True), label="edges"):
+            base.add_edge(a, b, data.draw(weight))
+        forks = (base.fork(), base.fork())
+        goal, source = data.draw(node, label="goal"), data.draw(node, label="source")
+
+        def ask() -> list[RoutePath | None]:
+            routes = []
+            for g in forks:
+                before = g.search_count
+                got = g.shortest_path(source, goal)
+                assert g.search_count == before + 1
+                expected = brute_force_shortest(g, source, goal)
+                assert (None if got is None else (got.total_cost, got.nodes)) == expected
+                routes.append(got)
+            return routes
+
+        routes = ask()
+        steps = st.sampled_from(("quarantine", "fail", "restore", "lane", "goal", "search", "search"))
         for step in data.draw(st.lists(steps, min_size=1, max_size=12), label="steps"):
+            side = data.draw(st.integers(0, 1), label="fork")
+            g = forks[side]
             if step == "quarantine":
                 g.quarantine_node(data.draw(node))
+            elif step == "fail":  # a tool on this fork's route fails: quarantine it, reroute
+                route = routes[side]
+                if route is not None and len(route.nodes) > 2:
+                    g.quarantine_node(data.draw(st.sampled_from(route.nodes[1:-1])))
+                routes = ask()
+            elif step == "restore":
+                g.restore_node(data.draw(node))
             elif step == "lane":
                 a, b = data.draw(pair)
                 if not g.has_edge(a, b):
@@ -131,11 +162,7 @@ class TestShortestPath:
                 goal = data.draw(node)
             else:
                 source = data.draw(node)
-                before = g.search_count
-                got = g.shortest_path(source, goal)
-                assert g.search_count == before + 1
-                expected = brute_force_shortest(g, source, goal)
-                assert (None if got is None else (got.total_cost, got.nodes)) == expected
+                routes = ask()
 
     def test_never_returns_a_path_through_infinite_edges(self):
         rng = random.Random(99)
@@ -281,3 +308,103 @@ class TestFork:
         assert not support_graph.has_edge("crm", "email") and not support_graph.has_edge("stripe", "goal_refund")
         assert support_graph.fork().to_json() != origin  # the origin's own write stays with it
 
+
+
+class TestRouteMemo:
+    def test_search_count_counts_memo_hits(self, monkeypatch):
+        computed = count_calls(monkeypatch, ToolGraph, "_search")  # routes computed, not read from the memo
+        base = ToolGraph()
+        for name in ("a", "b", "z"):
+            base.add_node(name)
+        base.add_edge("a", "b", 1.0)
+        base.add_edge("b", "z", 1.0)
+        task = base.fork()
+        first = task.shortest_path("a", "z")
+        assert task.shortest_path("a", "z") is first
+        assert task.search_count == 2 and computed[0] == 1
+        assert base.fork().shortest_path("a", "z") is first  # every fork reads the one memo
+        assert computed[0] == 1
+
+    def test_lane_on_one_fork_leaves_the_other_untouched(self, support_graph):
+        a, b = support_graph.fork(), support_graph.fork()
+        for g in (a, b):
+            g.quarantine_node("stripe")
+        route = b.shortest_path(START, "goal_refund")
+        memo = b._routes
+        snapshot = dict(memo)
+        a.add_edge("crm", "goal_refund", 1.0)  # a demotion-style lane, cheaper than any route
+        assert a.shortest_path(START, "goal_refund").nodes == (START, "crm", "goal_refund")
+        assert a._routes is None
+        assert b.shortest_path(START, "goal_refund") == route
+        assert b._routes is memo and memo == snapshot
+
+    def test_memo_is_capped(self):
+        names = [f"n{i:02d}" for i in range(20)]
+        base = ToolGraph()
+        for name in names:
+            base.add_node(name)
+        for a, b in zip(names, names[1:] + names[:1]):
+            base.add_edge(a, b, 1.0)
+        task = base.fork()
+        questions = [(a, b) for a in names for b in names if a != b]
+        assert len(questions) > ROUTE_MEMO_ENTRIES
+        for source, goal in questions:
+            route = task.shortest_path(source, goal)
+            assert 0 < len(task._routes) <= ROUTE_MEMO_ENTRIES
+            assert (route.total_cost, route.nodes) == brute_force_shortest(task, source, goal)
+
+    def test_forks_on_threads_read_and_write_one_memo(self):
+        names = [f"n{i:02d}" for i in range(12)]
+
+        def ring() -> ToolGraph:
+            g = ToolGraph()
+            for name in names:
+                g.add_node(name)
+            for i, a in enumerate(names):
+                g.add_edge(a, names[(i + 1) % len(names)], 1.0)
+                g.add_edge(a, names[(i + 5) % len(names)], 3.0)
+            return g
+
+        base, workers, errors = ring(), 4, []
+
+        def work(seed: int) -> None:
+            rng, reference = random.Random(seed), ring()  # unforked: computes every route
+            try:
+                for _ in range(300):
+                    task, victims = base.fork(), rng.sample(names, rng.randint(0, 2))
+                    for victim in victims:
+                        task.quarantine_node(victim)
+                        reference.quarantine_node(victim)
+                    source, goal = rng.sample(names, 2)
+                    assert task.shortest_path(source, goal) == reference.shortest_path(source, goal)
+                    for victim in victims:
+                        reference.restore_node(victim)
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        # a writer checks the size, then stores: racing writers may each add one past the cap
+        assert 0 < len(base._routes) <= ROUTE_MEMO_ENTRIES + workers
+
+    def test_unforked_graph_keeps_no_memo(self, monkeypatch):
+        computed = count_calls(monkeypatch, ToolGraph, "_search")  # routes computed, not read from the memo
+        g = ToolGraph()
+        for name in ("a", "b"):
+            g.add_node(name)
+        g.add_edge("a", "b", 1.0)
+        g.shortest_path("a", "b")
+        g.shortest_path("a", "b")
+        assert g._routes is None and computed[0] == 2
+        g.fork()
+        g.add_node("c")  # the first add after a fork copies the adjacency and drops the memo
+        assert g._routes is None
