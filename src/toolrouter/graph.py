@@ -1,13 +1,15 @@
 """Cost-weighted directed tool graph with deterministic shortest-path search.
 
 Tools are nodes and directed edges carry strictly positive finite costs that
-never change once added.  Quarantine is a set of nodes: an edge is usable
-only while neither endpoint is quarantined, so an edge wired in after a
-quarantine is excluded too.  Search is one forward Dijkstra pass from the
-source with a binary heap, O((V+E) log V), stopping once the goal is
-settled, so it settles only the nodes cheaper than the route.  Among
-equal-cost routes the lexicographically smallest node-id sequence wins, so
-identical graph states always produce identical paths.
+never change once added, kept in one forward adjacency whose keys are the
+declared nodes.  Quarantine is a set of nodes: an edge is usable only while
+neither endpoint is quarantined, so an edge wired in after a quarantine is
+excluded too.  Search is one forward Dijkstra pass from the source with a
+binary heap, O((V+E) log V), stopping once the goal is settled, so it
+settles only the nodes cheaper than the route.  A depth-first walk from the
+source over the tight out-edges of those nodes then picks, among equal-cost
+routes, the lexicographically smallest node-id sequence, so identical graph
+states always produce identical paths.
 
 Graphs made by ``fork`` share their nodes and edges until one of them adds
 a node or an edge, which copies them first, so a quarantine or a demotion
@@ -26,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterator
+from typing import Iterator, KeysView
 
 INFINITE = math.inf
 ROUTE_MEMO_ENTRIES = 256  # routes kept per shared adjacency; cleared when full
@@ -93,10 +95,9 @@ class ToolGraph:
     """
 
     def __init__(self) -> None:
-        self.nodes: set[str] = set()
         self.base_costs: dict[str, float] = {}
-        self._out: dict[str, dict[str, float]] = {}  # src -> {dst: weight}
-        self._in: dict[str, dict[str, float]] = {}  # dst -> {src: weight}
+        self._out: dict[str, dict[str, float]] = {}  # src -> {dst: weight}, keyed by every declared node
+        self.nodes: KeysView[str] = self._out.keys()
         self.sentinels: set[str] = set()
         self._shared = False  # another graph holds the containers above
         self._routes: dict[tuple[str, str, frozenset[str]], RoutePath | None] | None = None  # shared while _shared
@@ -110,52 +111,50 @@ class ToolGraph:
         g = ToolGraph()
         if self._routes is None:
             self._routes = {}
-        g.nodes, g.base_costs, g.sentinels, g._out, g._in, g._routes = (
-            self.nodes, self.base_costs, self.sentinels, self._out, self._in, self._routes
-        )
+        g.base_costs, g.sentinels, g._out, g._routes = self.base_costs, self.sentinels, self._out, self._routes
+        g.nodes = self.nodes
         g._shared = self._shared = True
         return g
 
     def _unshare(self) -> None:
-        self.nodes = set(self.nodes)
         self.base_costs = dict(self.base_costs)
         self.sentinels = set(self.sentinels)
         self._out = {n: dict(targets) for n, targets in self._out.items()}
-        self._in = {n: dict(sources) for n, sources in self._in.items()}
+        self.nodes = self._out.keys()
         self._routes = None
         self._shared = False
 
     # -- construction -------------------------------------------------
 
     def add_node(self, node_id: str, base_cost: float = 1.0, sentinel: bool = False) -> None:
-        if not node_id or not isinstance(node_id, str):
-            raise GraphError("node id must be a non-empty string")
-        if self._shared:
-            self._unshare()
+        if not (type(node_id) is str and node_id and not self._shared):
+            if not node_id or not isinstance(node_id, str):
+                raise GraphError("node id must be a non-empty string")
+            if self._shared:
+                self._unshare()
         out = self._out
         if node_id not in out:
-            self.nodes.add(node_id)
             self.base_costs[node_id] = base_cost if type(base_cost) is float else float(base_cost)
             out[node_id] = {}
-            self._in[node_id] = {}
         if sentinel:
             self.sentinels.add(node_id)
 
     def add_edge(self, src: str, dst: str, weight: float) -> None:
+        out = self._out  # keyed by exactly the declared nodes; the first test admits a valid edge
+        if type(weight) is float and 0 < weight < INFINITE and src != dst and src in out and dst in out and not self._shared:
+            out[src][dst] = weight
+            return
         if src == dst:
             raise GraphError(f"self-loop on {src!r} not allowed")
-        out = self._out  # keyed by exactly the declared nodes
         if src not in out:
             raise UnknownNode(f"edge endpoint {src!r} is not a declared node")
         if dst not in out:
             raise UnknownNode(f"edge endpoint {dst!r} is not a declared node")
-        is_float = type(weight) is float
-        if not ((is_float or isinstance(weight, (int, float))) and 0 < weight < INFINITE):
+        if not (isinstance(weight, (int, float)) and 0 < weight < INFINITE):
             raise NonPositiveWeight(f"edge weight must be finite and > 0, got {weight!r}")
         if self._shared:
             self._unshare()
-            out = self._out
-        out[src][dst] = self._in[dst][src] = weight if is_float else float(weight)
+        self._out[src][dst] = float(weight)
 
     # -- inspection ---------------------------------------------------
 
@@ -194,7 +193,8 @@ class ToolGraph:
         if node in q:
             return 0
         q.add(node)
-        return sum(n not in q for n in self._out[node]) + sum(n not in q for n in self._in[node])
+        out = self._out
+        return sum(n not in q for n in out[node]) + sum(n not in q for n, targets in out.items() if node in targets)
 
     def is_quarantined(self, node: str) -> bool:
         if node not in self.nodes:
@@ -243,13 +243,14 @@ class ToolGraph:
         One forward Dijkstra pass from ``source`` stops once ``goal`` is
         settled, so only nodes cheaper than the route are settled.  Every
         node on a minimum-cost route is among them, joined to the next by a
-        tight edge (``dist[u] + w == dist[v]``).  One backward sweep from
-        the goal over tight in-edges reaches exactly the settled nodes with
-        a tight route to the goal, and gives each its smallest-id tight
-        successor among them; a tight successor with no such route is a
-        dead end and never chosen.  The path follows those successors from
-        the source, so ties resolve to the lexicographically smallest
-        node-id sequence.
+        tight edge (``dist[u] + w == dist[v]``).  A walk from the source
+        then steps to the smallest-id tight successor it has not yet
+        entered, and backs up from a node with none left: that node is a
+        dead end and is never entered again.  The first path to reach the
+        goal is the lexicographically smallest minimum-cost node-id
+        sequence.  Each settled node is entered at most once, so the walk
+        ends even on a cycle of edges below the 1e-9 tolerance; its tight
+        successors are scanned on entry and sorted once if the walk backs up.
         """
         blocked = self.quarantined
         out = self._out
@@ -272,28 +273,26 @@ class ToolGraph:
                     heappush(heap, (cand, nxt))
         else:
             return None
-        step: dict[str, str] = {}  # swept node -> its smallest-id swept tight successor
-        stack = [goal]
-        inbound = self._in
-        while stack:
-            node = stack.pop()
-            reach = dist[node]
-            for prev, w in inbound[node].items():
-                if prev in dist and abs(dist[prev] + w - reach) < 1e-9:
-                    first = step.get(prev)
-                    if first is None:
-                        step[prev] = node
-                        stack.append(prev)
-                    elif node < first:
-                        step[prev] = node
-        path = [source]
-        node = source
+        path, entered, rest, backed_up = [source], {source}, {}, False  # rest: node backed up to -> tight successors by id
+        while (node := path[-1]) != goal:
+            reach, nxt = dist[node], None
+            if not backed_up:  # first visit: one scan for the smallest-id tight successor not yet entered
+                for v, w in out[node].items():
+                    if v in dist and (nxt is None or v < nxt) and v not in entered and abs(reach + w - dist[v]) < 1e-9:
+                        nxt = v
+            else:  # sorted once per node, so backing up to a wide fan-out never rescans it
+                if node not in rest:
+                    rest[node] = iter(sorted(v for v, w in out[node].items() if v in dist and abs(reach + w - dist[v]) < 1e-9))
+                nxt = next((v for v in rest[node] if v not in entered), None)
+            backed_up = nxt is None
+            if backed_up:  # a dead end, never entered again
+                path.pop()
+            else:
+                entered.add(nxt)
+                path.append(nxt)
         total = 0.0
-        while node != goal:
-            nxt = step[node]
-            total += out[node][nxt]
-            path.append(nxt)
-            node = nxt
+        for u, v in zip(path, path[1:]):
+            total += out[u][v]
         return RoutePath(tuple(path), total)
 
     # -- serialization ------------------------------------------------

@@ -140,7 +140,7 @@ class ScheduledProber:
 
     def __init__(self, schedule: FaultSchedule, invoker: ScheduledInvoker):
         self.schedule = schedule
-        self.invoker = invoker  # shares the attempt counter for step-indexed faults
+        self.invoker = invoker  # unused (scan takes attempts from its caller); accepted because perfbench passes it
 
     def scan(self, clock: SimClock, states: Mapping[str, ToolState], attempts: int) -> list[str]:
         opened = []

@@ -98,16 +98,50 @@ class TestShortestPath:
         assert g.shortest_path("a", "z").nodes == ("a", "b", "z")
 
     def test_tight_dead_end_is_skipped(self):
-        # b lies on a cost-1 edge from a but has no route onward, so a walk
-        # that follows tight edges forward without looking ahead would take it.
+        cases = [
+            # b lies on a cost-1 edge from a but has no route onward, so a walk
+            # that follows tight edges forward without looking ahead would take it.
+            ((("a", "b"), ("a", "c"), ("c", "z")), ("a", "c", "z")),
+            # two levels deep: the walk enters b, then c, and backs up twice.
+            ((("a", "b"), ("b", "c"), ("a", "d"), ("d", "e"), ("e", "z")), ("a", "d", "e", "z")),
+        ]
+        for edges, route in cases:
+            g = ToolGraph()
+            for n in sorted({n for edge in edges for n in edge}):
+                g.add_node(n)
+            for a, b in edges:
+                g.add_edge(a, b, 1.0)
+            path = g.shortest_path("a", "z")
+            assert path.nodes == route and path.total_cost == len(route) - 1
+
+    def test_sub_tolerance_cycle_ends(self):
+        # a <-> b at 1e-10 is a cycle of tight edges under the 1e-9 tolerance:
+        # a walk that may re-enter a node already on its path goes round it
+        # for ever.
         g = ToolGraph()
-        for n in ("a", "b", "c", "z"):
+        for n in ("a", "b", "z"):
             g.add_node(n)
-        g.add_edge("a", "b", 1.0)
-        g.add_edge("a", "c", 1.0)
-        g.add_edge("c", "z", 1.0)
+        g.add_edge("a", "b", 1e-10)
+        g.add_edge("b", "a", 1e-10)
+        g.add_edge("b", "z", 1.0)
         path = g.shortest_path("a", "z")
-        assert path.nodes == ("a", "c", "z") and path.total_cost == 2.0
+        assert (path.total_cost, path.nodes) == brute_force_shortest(g, "a", "z")
+        assert path.nodes == ("a", "b", "z")
+
+    def test_long_chain_routes_end_to_end(self):
+        # 5,000 hops, each with a tight dead-end branch that sorts first, so
+        # the walk enters and backs out of 4,999 dead ends; a recursive walk
+        # would pass the interpreter's recursion limit.
+        chain = [f"c{i:04d}" for i in range(5000)]
+        g = ToolGraph()
+        for i, node in enumerate(chain):
+            g.add_node(node)
+            g.add_node(f"b{i:04d}")
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            g.add_edge(a, b, 1.0)
+            g.add_edge(a, f"b{i:04d}", 1.0)
+        path = g.shortest_path(chain[0], chain[-1])
+        assert path.nodes == tuple(chain) and path.total_cost == 4999.0
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.data())
@@ -205,10 +239,22 @@ class TestShortestPath:
 
 class TestQuarantine:
     def test_counts_touching_edges_and_reroutes(self, support_graph):
-        changed = support_graph.quarantine_node("stripe")
-        assert changed == 3  # crm->stripe, stripe->email, stripe->sms
-        path = support_graph.shortest_path(START, "goal_refund")
-        assert "razorpay" in path.nodes
+        cases = [
+            ((), (), 3),  # crm->stripe, stripe->email, stripe->sms
+            # Two lanes into stripe, from razorpay (live) and from sms
+            # (quarantined first): crm->stripe, razorpay->stripe and
+            # stripe->email; sms->stripe and stripe->sms were already excluded.
+            ((("razorpay", "stripe"), ("sms", "stripe")), ("sms",), 3),
+        ]
+        for lanes, quarantined, changed in cases:
+            g = support_graph.fork()
+            for a, b in lanes:
+                g.add_edge(a, b, 1.0)
+            for node in quarantined:
+                g.quarantine_node(node)
+            assert g.quarantine_node("stripe") == changed
+            path = g.shortest_path(START, "goal_refund")
+            assert "razorpay" in path.nodes
 
     def test_idempotent(self, support_graph):
         support_graph.quarantine_node("stripe")
@@ -297,12 +343,12 @@ class TestFork:
     def test_writes_on_either_side_stay_on_that_side(self, support_graph):
         origin = support_graph.to_json()
         a, b = support_graph.fork(), support_graph.fork()
-        a.add_edge("crm", "email", 1.0)
         a.add_node("extra", sentinel=True)
+        a.add_edge("crm", "email", 1.0)
         b.add_edge("stripe", "goal_refund", 5.0)
         support_graph.add_edge("razorpay", "goal_store_credit", 1.0)
         assert a.has_edge("crm", "email") and not b.has_edge("crm", "email")
-        assert "extra" in a.sentinels and "extra" not in b.nodes | support_graph.nodes
+        assert "extra" in a.nodes and "extra" in a.sentinels and "extra" not in b.nodes | support_graph.nodes
         assert b.has_edge("stripe", "goal_refund") and not a.has_edge("stripe", "goal_refund")
         assert not a.has_edge("razorpay", "goal_store_credit") and not b.has_edge("razorpay", "goal_store_credit")
         assert not support_graph.has_edge("crm", "email") and not support_graph.has_edge("stripe", "goal_refund")
