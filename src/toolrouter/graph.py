@@ -127,11 +127,10 @@ class ToolGraph:
     # -- construction -------------------------------------------------
 
     def add_node(self, node_id: str, base_cost: float = 1.0, sentinel: bool = False) -> None:
-        if not (type(node_id) is str and node_id and not self._shared):
-            if not node_id or not isinstance(node_id, str):
-                raise GraphError("node id must be a non-empty string")
-            if self._shared:
-                self._unshare()
+        if not node_id or not isinstance(node_id, str):
+            raise GraphError("node id must be a non-empty string")
+        if self._shared:
+            self._unshare()
         out = self._out
         if node_id not in out:
             self.base_costs[node_id] = base_cost if type(base_cost) is float else float(base_cost)
@@ -140,21 +139,20 @@ class ToolGraph:
             self.sentinels.add(node_id)
 
     def add_edge(self, src: str, dst: str, weight: float) -> None:
-        out = self._out  # keyed by exactly the declared nodes; the first test admits a valid edge
-        if type(weight) is float and 0 < weight < INFINITE and src != dst and src in out and dst in out and not self._shared:
-            out[src][dst] = weight
-            return
         if src == dst:
             raise GraphError(f"self-loop on {src!r} not allowed")
+        out = self._out  # keyed by exactly the declared nodes
         if src not in out:
             raise UnknownNode(f"edge endpoint {src!r} is not a declared node")
         if dst not in out:
             raise UnknownNode(f"edge endpoint {dst!r} is not a declared node")
-        if not (isinstance(weight, (int, float)) and 0 < weight < INFINITE):
+        is_float = type(weight) is float
+        if not ((is_float or isinstance(weight, (int, float))) and 0 < weight < INFINITE):
             raise NonPositiveWeight(f"edge weight must be finite and > 0, got {weight!r}")
         if self._shared:
             self._unshare()
-        self._out[src][dst] = float(weight)
+            out = self._out
+        out[src][dst] = weight if is_float else float(weight)
 
     # -- inspection ---------------------------------------------------
 
