@@ -5,7 +5,7 @@ Builds the customer-support pipeline, routes through it, then knocks out
 the primary payment and notification providers and watches the route heal.
 """
 
-from toolrouter import build_topology
+from toolrouter import INFINITE, build_topology
 from toolrouter.topologies import START, TopologyKind
 
 topo = build_topology(TopologyKind.LINEAR_PIPELINE)
@@ -17,7 +17,9 @@ print("healthy route:   ", " -> ".join(route.nodes), f"(cost {route.total_cost})
 
 # Take the primary payment provider down.  Its edges now count as infinite
 # weight; the topology is untouched, so the backup path was there all along.
-changed = graph.quarantine_node("stripe")
+blocked_before = sum(e.effective_weight == INFINITE for e in graph.edges())
+graph.quarantine_node("stripe")
+changed = sum(e.effective_weight == INFINITE for e in graph.edges()) - blocked_before
 route = graph.shortest_path(START, "goal_refund")
 print(f"stripe down ({changed} edges to infinity):")
 print("rerouted:        ", " -> ".join(route.nodes), f"(cost {route.total_cost})")

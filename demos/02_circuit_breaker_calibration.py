@@ -25,4 +25,4 @@ print(f"probe at {clock.now:>5} ms (inside cooldown) -> phase: {state.breaker.ph
 clock.advance(5000)
 state.run_health_probe(clock, 180, True)
 print(f"probe at {clock.now:>5} ms (after cooldown)  -> phase: {state.breaker.phase.value}")
-print("samples in the telemetry window:", len(state.window))
+print("calls and probes in the window:", len(state.window))

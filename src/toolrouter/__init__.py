@@ -24,7 +24,6 @@ from .calibration import (
     BreakerPhase,
     BreakerState,
     SimClock,
-    TelemetryWindow,
     ToolCalibration,
     ToolState,
 )

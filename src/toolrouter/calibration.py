@@ -1,11 +1,10 @@
-"""Per-tool breaker state from simulated telemetry.
+"""Per-tool circuit breakers on a simulated clock.
 
-Each tool carries a sliding telemetry window and a three-state circuit
-breaker (CLOSED / OPEN / HALF_OPEN).  The breaker feeds the tool_health
-monitor and the probers.  ``latency_factor`` and ``reliability_factor``
-normalise what a window holds; no run reads them.  No calibration value is
-an edge cost: search runs on the graph's fixed costs, and a failed tool
-leaves routing by quarantine.
+Each tool carries a three-state circuit breaker (CLOSED / OPEN /
+HALF_OPEN) fed by call results and health probes.  The breaker feeds the
+tool_health monitor and the probers.  No calibration value is an edge
+cost: search runs on the graph's fixed costs, and a failed tool leaves
+routing by quarantine.
 
 All timing runs off an explicit simulated clock; wall time is never read,
 so any sequence of events replays bit-identically.
@@ -13,15 +12,13 @@ so any sequence of events replays bit-identically.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 WINDOW_CAPACITY = 100
 WINDOW_HORIZON_MS = 15 * 60 * 1000
-
-LATENCY_RANGE = (0.5, 10.0)
-RELIABILITY_RANGE = (1.0, 50.0)
 
 
 class CalibrationError(Exception):
@@ -30,6 +27,12 @@ class CalibrationError(Exception):
 
 class OutOfRange(CalibrationError):
     pass
+
+
+def _check_ms(name: str, value: float) -> None:
+    """Raise OutOfRange naming ``name`` unless ``0 <= value < inf`` (NaN fails)."""
+    if not 0 <= value < math.inf:
+        raise OutOfRange(f"{name} must be finite and >= 0, got {value!r}")
 
 
 class SimClock:
@@ -43,61 +46,9 @@ class SimClock:
         return self._now
 
     def advance(self, delta_ms: float) -> int:
-        if delta_ms < 0:
-            raise OutOfRange("clock cannot move backwards")
+        _check_ms("delta_ms", delta_ms)
         self._now += int(delta_ms)
         return self._now
-
-
-@dataclass
-class Sample:
-    at_ms: int
-    latency_ms: float
-    success: bool
-
-
-class TelemetryWindow:
-    """Bounded FIFO of call samples: at most 100 entries, none older than
-    15 simulated minutes.  Eviction happens on insert and on read."""
-
-    def __init__(self):
-        self._samples: deque[Sample] = deque(maxlen=WINDOW_CAPACITY)
-
-    def append(self, now_ms: int, latency_ms: float, success: bool) -> None:
-        self._evict(now_ms)
-        self._samples.append(Sample(now_ms, latency_ms, success))
-
-    def _evict(self, now_ms: int) -> None:
-        cutoff = now_ms - WINDOW_HORIZON_MS
-        while self._samples and self._samples[0].at_ms < cutoff:
-            self._samples.popleft()
-
-    def samples(self, now_ms: int) -> list[Sample]:
-        self._evict(now_ms)
-        return list(self._samples)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-
-def latency_factor(window: TelemetryWindow, nominal_latency_ms: float, now_ms: int) -> float:
-    """Windowed mean latency over nominal, clamped to LATENCY_RANGE; 1.0 when empty."""
-    if nominal_latency_ms <= 0:
-        raise OutOfRange("nominal latency must be > 0")
-    rows = window.samples(now_ms)
-    if not rows:
-        return 1.0
-    lo, hi = LATENCY_RANGE
-    return min(hi, max(lo, sum(s.latency_ms for s in rows) / len(rows) / nominal_latency_ms))
-
-
-def reliability_factor(window: TelemetryWindow, now_ms: int) -> float:
-    """Linear in the windowed error rate across RELIABILITY_RANGE; 1.0 when empty."""
-    rows = window.samples(now_ms)
-    if not rows:
-        return 1.0
-    lo, hi = RELIABILITY_RANGE
-    return lo + sum(1 for s in rows if not s.success) / len(rows) * (hi - lo)
 
 
 class BreakerPhase(Enum):
@@ -162,28 +113,43 @@ class ToolCalibration:
 
 
 class ToolState:
-    """Telemetry window + breaker for one tool.  Confined to one
-    orchestration context at a time."""
+    """Breaker for one tool, fed by call results and health probes.
+    Confined to one orchestration context at a time.
+
+    ``window`` holds the simulated times of the calls and probes of the
+    last ``WINDOW_HORIZON_MS``, at most ``WINDOW_CAPACITY`` of them.  No run
+    reads it; it stays only for perfbench's traced
+    ``calibration.window_len_mean`` and demo 02, until the benchmark
+    replaces that metric with a breaker count.
+    """
 
     def __init__(self, tool: str, config: ToolCalibration | None = None):
         self.tool = tool
         self.config = config or ToolCalibration()
-        self.window = TelemetryWindow()
+        self.window: deque[int] = deque(maxlen=WINDOW_CAPACITY)
         self.breaker = BreakerState(
             cooldown_ms=self.config.cooldown_ms,
             trip_threshold=self.config.trip_threshold,
         )
 
+    def _observe(self, now_ms: int, latency_ms: float) -> None:
+        """Check the latency, then drop window entries older than the
+        horizon and append ``now_ms``."""
+        _check_ms("latency_ms", latency_ms)
+        window = self.window
+        cutoff = now_ms - WINDOW_HORIZON_MS
+        while window and window[0] < cutoff:
+            window.popleft()
+        window.append(now_ms)
+
     def record_call(self, clock: SimClock, latency_ms: float, success: bool) -> None:
         """Reactive update: fold one call result into window and breaker."""
-        if latency_ms < 0:
-            raise OutOfRange("latency must be >= 0")
-        self.window.append(clock.now, latency_ms, success)
+        self._observe(clock.now, latency_ms)
         self.breaker.on_result(clock.now, success)
 
     def run_health_probe(self, clock: SimClock, latency_ms: float, success: bool) -> None:
         """Proactive update: same effects as a call, except an OPEN breaker
         whose cooldown has elapsed first moves to HALF_OPEN so the probe
         outcome decides recovery."""
-        self.window.append(clock.now, latency_ms, success)
+        self._observe(clock.now, latency_ms)
         self.breaker.on_probe(clock.now, success)

@@ -95,7 +95,6 @@ class ToolGraph:
     """
 
     def __init__(self) -> None:
-        self.base_costs: dict[str, float] = {}
         self._out: dict[str, dict[str, float]] = {}  # src -> {dst: weight}, keyed by every declared node
         self.nodes: KeysView[str] = self._out.keys()
         self.sentinels: set[str] = set()
@@ -111,13 +110,12 @@ class ToolGraph:
         g = ToolGraph()
         if self._routes is None:
             self._routes = {}
-        g.base_costs, g.sentinels, g._out, g._routes = self.base_costs, self.sentinels, self._out, self._routes
+        g.sentinels, g._out, g._routes = self.sentinels, self._out, self._routes
         g.nodes = self.nodes
         g._shared = self._shared = True
         return g
 
     def _unshare(self) -> None:
-        self.base_costs = dict(self.base_costs)
         self.sentinels = set(self.sentinels)
         self._out = {n: dict(targets) for n, targets in self._out.items()}
         self.nodes = self._out.keys()
@@ -127,14 +125,14 @@ class ToolGraph:
     # -- construction -------------------------------------------------
 
     def add_node(self, node_id: str, base_cost: float = 1.0, sentinel: bool = False) -> None:
+        """Declare ``node_id``; declaring it again can only add the sentinel
+        mark.  ``base_cost`` is unused (search reads only edge weights);
+        accepted because perfbench passes it."""
         if not node_id or not isinstance(node_id, str):
             raise GraphError("node id must be a non-empty string")
         if self._shared:
             self._unshare()
-        out = self._out
-        if node_id not in out:
-            self.base_costs[node_id] = base_cost if type(base_cost) is float else float(base_cost)
-            out[node_id] = {}
+        self._out.setdefault(node_id, {})
         if sentinel:
             self.sentinels.add(node_id)
 
@@ -179,20 +177,11 @@ class ToolGraph:
 
     # -- quarantine ---------------------------------------------------
 
-    def quarantine_node(self, node: str) -> int:
-        """Exclude every edge touching ``node`` from routing.
-
-        Returns the number of edges newly excluded, so a second call
-        returns 0.
-        """
+    def quarantine_node(self, node: str) -> None:
+        """Exclude every edge touching ``node`` from routing; idempotent."""
         if node not in self.nodes:
             raise UnknownNode(f"unknown node {node!r}")
-        q = self.quarantined
-        if node in q:
-            return 0
-        q.add(node)
-        out = self._out
-        return sum(n not in q for n in out[node]) + sum(n not in q for n, targets in out.items() if node in targets)
+        self.quarantined.add(node)
 
     def is_quarantined(self, node: str) -> bool:
         if node not in self.nodes:
@@ -297,10 +286,7 @@ class ToolGraph:
 
     def to_json(self) -> str:
         doc = {
-            "nodes": [
-                {"id": n, "base_cost": self.base_costs.get(n, 1.0), "sentinel": n in self.sentinels}
-                for n in sorted(self.nodes)
-            ],
+            "nodes": [{"id": n, "sentinel": n in self.sentinels} for n in sorted(self.nodes)],
             "edges": [
                 {"from": e.src, "to": e.dst, "weight": e.base_weight}
                 for e in sorted(self.edges(), key=lambda e: (e.src, e.dst))

@@ -46,15 +46,8 @@ class Topology:
 def _support_graph() -> ToolGraph:
     g = ToolGraph()
     g.add_node(START, sentinel=True)
-    for node, cost in [
-        ("crm", 1.0),
-        ("stripe", 1.0),
-        ("razorpay", 2.0),
-        ("store_credit", 2.0),
-        ("email", 1.0),
-        ("sms", 2.0),
-    ]:
-        g.add_node(node, base_cost=cost)
+    for node in ("crm", "stripe", "razorpay", "store_credit", "email", "sms"):
+        g.add_node(node)
     g.add_node("goal_refund", sentinel=True)
     g.add_node("goal_store_credit", sentinel=True)
     g.add_edge(START, "crm", 1.0)
@@ -81,8 +74,8 @@ def _travel_graph() -> ToolGraph:
         ("confirm_primary", "confirm_backup"),
     ]
     for primary, backup in stages:
-        g.add_node(primary, base_cost=1.0)
-        g.add_node(backup, base_cost=2.0)
+        g.add_node(primary)
+        g.add_node(backup)
     g.add_node("goal_trip", sentinel=True)
     g.add_node("goal_transport", sentinel=True)
     g.add_edge(START, "flight_primary", 1.0)
@@ -101,10 +94,10 @@ def _moderation_graph() -> ToolGraph:
     g.add_node(START, sentinel=True)
     sources = [("image_classifier", 1.0), ("text_classifier", 2.0), ("history_classifier", 3.0)]
     for node, entry_cost in sources:
-        g.add_node(node, base_cost=1.0)
+        g.add_node(node)
         g.add_edge(START, node, entry_cost)
     for node in ("toxicity_check", "spam_check", "action_queue"):
-        g.add_node(node, base_cost=1.0)
+        g.add_node(node)
     g.add_node("goal_moderation", sentinel=True)
     for node, _ in sources:
         g.add_edge(node, "action_queue", 1.0)

@@ -3,86 +3,34 @@ from __future__ import annotations
 import pytest
 
 from toolrouter.calibration import (
-    LATENCY_RANGE,
+    WINDOW_CAPACITY,
+    WINDOW_HORIZON_MS,
     BreakerPhase,
     BreakerState,
     OutOfRange,
     SimClock,
-    TelemetryWindow,
     ToolCalibration,
     ToolState,
-    latency_factor,
-    reliability_factor,
 )
-
-
-class TestLatencyFactor:
-    def _window(self, latencies, now=0):
-        w = TelemetryWindow()
-        for lat in latencies:
-            w.append(now, lat, True)
-        return w
-
-    def test_ratio_identity(self):
-        assert latency_factor(self._window([200, 200, 200]), 200, 0) == pytest.approx(1.0)
-
-    def test_degraded_tool_quadruples(self):
-        assert latency_factor(self._window([800, 800]), 200, 0) == pytest.approx(4.0)
-
-    def test_fast_tool_clamps_low(self):
-        assert latency_factor(self._window([50]), 200, 0) == pytest.approx(0.5)
-
-    def test_empty_window_is_neutral(self):
-        assert latency_factor(TelemetryWindow(), 200, 0) == 1.0
-
-    def test_clamps_high(self):
-        assert latency_factor(self._window([99_999]), 10, 0) == LATENCY_RANGE[1]
-
-    def test_nonpositive_nominal_rejected(self):
-        with pytest.raises(OutOfRange):
-            latency_factor(TelemetryWindow(), 0, 0)
-
-
-class TestReliabilityFactor:
-    def _window(self, failures, total, now=0):
-        w = TelemetryWindow()
-        for i in range(total):
-            w.append(now, 100, i >= failures)
-        return w
-
-    def test_zero_errors(self):
-        assert reliability_factor(self._window(0, 100), 0) == 1.0
-
-    def test_total_failure_hits_ceiling(self):
-        assert reliability_factor(self._window(100, 100), 0) == 50.0
-
-    def test_ten_percent_error_rate(self):
-        # independent arithmetic: 1.0 + 0.10 * (50.0 - 1.0) = 5.9
-        assert reliability_factor(self._window(10, 100), 0) == pytest.approx(5.9)
-
-    def test_empty_window_is_neutral(self):
-        assert reliability_factor(TelemetryWindow(), 0) == 1.0
 
 
 class TestWindowDiscipline:
     def test_capacity_bound(self):
-        w = TelemetryWindow()
-        for i in range(250):
-            w.append(i, 100, True)
-        assert len(w.samples(249)) == 100
-
-    def test_horizon_eviction_on_read(self):
-        w = TelemetryWindow()
-        w.append(0, 100, True)
-        w.append(1000, 100, True)
-        fresh = w.samples(15 * 60 * 1000 + 500)
-        assert [s.at_ms for s in fresh] == [1000]
+        clock = SimClock()
+        state = ToolState("t")
+        for _ in range(250):
+            clock.advance(1)
+            state.record_call(clock, 100, True)
+        assert len(state.window) == WINDOW_CAPACITY
+        assert list(state.window) == list(range(151, 251))
 
     def test_horizon_eviction_on_insert(self):
-        w = TelemetryWindow()
-        w.append(0, 100, False)
-        w.append(16 * 60 * 1000, 100, True)
-        assert len(w) == 1
+        clock = SimClock()
+        state = ToolState("t")
+        state.record_call(clock, 100, False)
+        clock.advance(16 * 60 * 1000)
+        state.run_health_probe(clock, 100, True)
+        assert list(state.window) == [16 * 60 * 1000]
 
 
 EVENTS = ("call_success", "call_failure", "probe_success", "probe_failure")
@@ -184,16 +132,33 @@ class TestToolStateInvariants:
         for i in range(500):
             clock.advance(10_000)
             state.record_call(clock, 100 + i, i % 7 == 0)
-        rows = state.window.samples(clock.now)
-        assert len(rows) <= 100
-        assert all(clock.now - s.at_ms <= 15 * 60 * 1000 for s in rows)
+            if i % 3 == 0:
+                state.run_health_probe(clock, 5, i % 2 == 0)
+            assert len(state.window) <= WINDOW_CAPACITY
+            assert all(clock.now - at <= WINDOW_HORIZON_MS for at in state.window)
 
     def test_negative_latency_rejected(self):
         with pytest.raises(OutOfRange):
             ToolState("t").record_call(SimClock(), -1, True)
+
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf"), -0.5])
+    def test_out_of_range_latency_names_the_field(self, latency):
+        state = ToolState("t")
+        for update in (state.record_call, state.run_health_probe):
+            with pytest.raises(OutOfRange, match="latency_ms"):
+                update(SimClock(), latency, True)
+        assert len(state.window) == 0
+        assert state.breaker.phase is BreakerPhase.CLOSED
 
 
 class TestConfig:
     def test_clock_rejects_negative_ticks(self):
         with pytest.raises(OutOfRange):
             SimClock().advance(-5)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_clock_rejects_non_finite_ticks(self, delta):
+        clock = SimClock(7)
+        with pytest.raises(OutOfRange, match="delta_ms"):
+            clock.advance(delta)
+        assert clock.now == 7

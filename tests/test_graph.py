@@ -237,6 +237,10 @@ class TestShortestPath:
                     assert after.total_cost >= prev - 1e-9
 
 
+def blocked_edges(g) -> int:
+    return sum(e.effective_weight == INFINITE for e in g.edges())
+
+
 class TestQuarantine:
     def test_counts_touching_edges_and_reroutes(self, support_graph):
         cases = [
@@ -252,20 +256,23 @@ class TestQuarantine:
                 g.add_edge(a, b, 1.0)
             for node in quarantined:
                 g.quarantine_node(node)
-            assert g.quarantine_node("stripe") == changed
+            before = blocked_edges(g)
+            g.quarantine_node("stripe")
+            assert blocked_edges(g) - before == changed
             path = g.shortest_path(START, "goal_refund")
             assert "razorpay" in path.nodes
 
     def test_idempotent(self, support_graph):
         support_graph.quarantine_node("stripe")
         snapshot = {(e.src, e.dst): e.effective_weight for e in support_graph.edges()}
-        assert support_graph.quarantine_node("stripe") == 0
+        support_graph.quarantine_node("stripe")
         assert {(e.src, e.dst): e.effective_weight for e in support_graph.edges()} == snapshot
 
     def test_isolated_node_modifies_nothing(self, support_graph):
         support_graph.add_node("lonely")
         before = support_graph.shortest_path(START, "goal_refund")
-        assert support_graph.quarantine_node("lonely") == 0
+        support_graph.quarantine_node("lonely")
+        assert blocked_edges(support_graph) == 0
         assert support_graph.shortest_path(START, "goal_refund") == before
 
     def test_unknown_node(self, support_graph):

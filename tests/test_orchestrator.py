@@ -8,7 +8,7 @@ import zlib
 import pytest
 
 from toolrouter.bench import random_schedule
-from toolrouter.calibration import SimClock
+from toolrouter.calibration import OutOfRange, SimClock
 from toolrouter.graph import ToolGraph
 from toolrouter import orchestrator
 from toolrouter.monitors import MonitorConfig, RequestContext, run_all_monitors
@@ -77,6 +77,30 @@ class TestHappyPath:
                 TaskRequest(text="refund"),
                 start=START,
             )
+
+
+class TestInvokerLatency:
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_latency_raises_a_typed_error(self, latency):
+        class NonFinite:
+            def invoke(self, node, clock):
+                return Outcome(True, latency)
+
+        topo = build_topology(TopologyKind.LINEAR_PIPELINE)
+        graph = topo.fresh_graph()
+        clock = SimClock()
+        with pytest.raises(OutOfRange, match="delta_ms"):
+            execute_task(
+                topo.goal,
+                graph,
+                NonFinite(),
+                RuleReasoner(),
+                clock,
+                TaskRequest(text="refund order 5"),
+                start=START,
+                tool_states=scenario_tool_states(graph),
+            )
+        assert clock.now == 0
 
 
 class TestRecovery:
