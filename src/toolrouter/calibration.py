@@ -40,14 +40,22 @@ class SimClock:
 
     def __init__(self, now_ms: int = 0):
         self._now = int(now_ms)
+        self._carry_ns = 0  # nanoseconds advanced but not yet a whole millisecond of ``now``
 
     @property
     def now(self) -> int:
         return self._now
 
     def advance(self, delta_ms: float) -> int:
+        """Advance by ``delta_ms``.  ``now`` stays a whole millisecond; the
+        fraction, rounded to the nanosecond, is carried in integers into
+        later advances, so no time is dropped and none drifts."""
         _check_ms("delta_ms", delta_ms)
-        self._now += int(delta_ms)
+        whole = int(delta_ms)
+        if whole != delta_ms:
+            carried, self._carry_ns = divmod(self._carry_ns + round((delta_ms - whole) * 1_000_000), 1_000_000)
+            whole += carried
+        self._now += whole
         return self._now
 
 
@@ -57,7 +65,7 @@ class BreakerPhase(Enum):
     HALF_OPEN = "half_open"
 
 
-@dataclass
+@dataclass(slots=True)
 class BreakerState:
     """Per-tool circuit breaker.
 
@@ -104,12 +112,16 @@ class BreakerState:
         self.on_result(now_ms, success)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToolCalibration:
-    """Per-tool knobs; every field has a module default."""
+    """Per-tool knobs; every field has a module default.  Frozen, so one
+    instance can be shared by any number of tool states."""
 
     trip_threshold: int = 3
     cooldown_ms: int = 10_000
+
+
+DEFAULT_CALIBRATION = ToolCalibration()
 
 
 class ToolState:
@@ -121,16 +133,18 @@ class ToolState:
     reads it; it stays only for perfbench's traced
     ``calibration.window_len_mean`` and demo 02, until the benchmark
     replaces that metric with a breaker count.
+
+    Without a ``config`` a state shares ``DEFAULT_CALIBRATION``.  States are
+    slotted: a task may make one per tool it touches.
     """
+
+    __slots__ = ("tool", "config", "window", "breaker")
 
     def __init__(self, tool: str, config: ToolCalibration | None = None):
         self.tool = tool
-        self.config = config or ToolCalibration()
-        self.window: deque[int] = deque(maxlen=WINDOW_CAPACITY)
-        self.breaker = BreakerState(
-            cooldown_ms=self.config.cooldown_ms,
-            trip_threshold=self.config.trip_threshold,
-        )
+        self.config = config = config or DEFAULT_CALIBRATION
+        self.window: deque[int] = deque((), WINDOW_CAPACITY)  # positional: a keyword maxlen is several times slower to build
+        self.breaker = BreakerState(BreakerPhase.CLOSED, 0, config.cooldown_ms, config.trip_threshold)
 
     def _observe(self, now_ms: int, latency_ms: float) -> None:
         """Check the latency, then drop window entries older than the

@@ -239,10 +239,13 @@ class ToolGraph:
         ends even on a cycle of edges below the 1e-9 tolerance; its tight
         successors are scanned on entry and sorted once if the walk backs up.
         """
-        blocked = self.quarantined
         out = self._out
         dist: dict[str, float] = {}  # settled distances from the source
-        best = {source: 0.0}
+        # A quarantined node's best is 0.0 and a settled node's is its
+        # distance, so with weights > 0 no candidate improves either: one
+        # test per edge keeps both out of the heap.
+        best = dict.fromkeys(self.quarantined, 0.0)
+        best[source] = 0.0
         heap: list[tuple[float, str]] = [(0.0, source)]
         while heap:
             cost, node = heappop(heap)
@@ -252,8 +255,6 @@ class ToolGraph:
             if node == goal:
                 break
             for nxt, w in out[node].items():
-                if nxt in dist or nxt in blocked:
-                    continue
                 cand = cost + w
                 if cand < best.get(nxt, INFINITE):
                     best[nxt] = cand

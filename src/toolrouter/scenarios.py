@@ -27,7 +27,7 @@ from typing import Mapping
 
 from .calibration import BreakerPhase, SimClock, ToolCalibration, ToolState
 from .graph import ToolGraph
-from .monitors import MonitorConfig
+from .monitors import MonitorConfig, MonitorError
 from .orchestrator import (
     ExecutionTrace,
     Outcome,
@@ -69,7 +69,7 @@ class FaultEffect(Enum):
     FAIL_AT_STEP = "FAIL_AT_STEP"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultEntry:
     tool: str
     effect: FaultEffect
@@ -83,7 +83,7 @@ class FaultEntry:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultSchedule:
     entries: tuple[FaultEntry, ...] = ()
 
@@ -94,27 +94,41 @@ class FaultSchedule:
                 raise UnknownTool(f"fault entry references unknown tool {e.tool!r}")
 
 
+_DEFAULT_OK = Outcome.ok(TOOL_CALL_LATENCY_MS)
+
+
 class HealthyInvoker:
-    """Every call succeeds at a fixed latency; the no-fault baseline."""
+    """Every call succeeds at a fixed latency; the no-fault baseline.
+
+    ``Outcome`` is frozen, so every call returns one shared success, made
+    again only once ``latency_ms`` has been set to another value.
+    """
 
     def __init__(self, latency_ms: float = TOOL_CALL_LATENCY_MS):
         self.latency_ms = latency_ms
+        self._ok = _DEFAULT_OK
 
     def invoke(self, node: str, clock: SimClock) -> Outcome:
-        return Outcome.ok(self.latency_ms)
+        ok = self._ok
+        if ok.latency_ms is not self.latency_ms:
+            ok = self._ok = Outcome.ok(self.latency_ms)
+        return ok
 
 
 class ScheduledInvoker:
     """Wraps an invoker so scheduled outages fail exactly as written.
 
     Keeps a shared attempt counter so call-indexed effects land identically
-    for every architecture replaying the same scenario.
+    for every architecture replaying the same scenario.  The set of
+    scheduled tools is taken once, when the invoker is made, so a call to
+    any other tool reads no entry.
     """
 
     def __init__(self, schedule: FaultSchedule, base: HealthyInvoker | None = None):
         self.schedule = schedule
         self.base = base or HealthyInvoker()
         self.attempts = 0
+        self._scheduled = {entry.tool for entry in schedule.entries}
 
     def _down(self, node: str) -> FaultEntry | None:
         for entry in self.schedule.entries:
@@ -123,7 +137,7 @@ class ScheduledInvoker:
         return None
 
     def invoke(self, node: str, clock: SimClock) -> Outcome:
-        entry = self._down(node)
+        entry = self._down(node) if node in self._scheduled else None
         self.attempts += 1
         if entry is not None:
             return Outcome.failed(entry.kind, self.base.latency_ms)
@@ -135,17 +149,22 @@ class ScheduledProber:
 
     Only probe-visible outages are ever detected here; call-path-only
     failures (an auth error, say) stay invisible until a request hits them.
-    One probe per tool per sweep keeps the cadence honest.
+    One probe per tool per sweep keeps the cadence honest.  The
+    probe-visible entries are taken once, when the prober is made; a
+    schedule with none gives a scan that returns at once.
     """
 
     def __init__(self, schedule: FaultSchedule, invoker: ScheduledInvoker):
         self.schedule = schedule
         self.invoker = invoker  # unused (scan takes attempts from its caller); accepted because perfbench passes it
+        self._visible = [entry for entry in schedule.entries if entry.probe_visible]
 
     def scan(self, clock: SimClock, states: Mapping[str, ToolState], attempts: int) -> list[str]:
+        if not self._visible:
+            return []
         opened = []
-        for entry in self.schedule.entries:
-            if not entry.probe_visible or not entry.active(attempts):
+        for entry in self._visible:
+            if not entry.active(attempts):
                 continue
             state = states.get(entry.tool)
             if state is None or state.breaker.phase is BreakerPhase.OPEN:
@@ -221,16 +240,55 @@ def _object(value: object, name: str) -> dict:
     return value
 
 
+def _string(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _cell(section: dict, name: str, kind: type = int) -> int | bool:
+    """One required ``expected`` cell: an integer >= 0, or a boolean."""
+    value = section[name.rpartition(".")[2]]
+    if type(value) is not kind or (kind is int and value < 0):
+        wanted = "an integer >= 0" if kind is int else "a boolean"
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    return value
+
+
+def _expected(exp: object) -> ExpectedCounts:
+    exp = _object(exp, "expected")
+    shr, react, workflow = (_object(exp[k], f"expected.{k}") for k in ("shr", "react", "workflow"))
+    status = shr["status"]
+    if status not in ("success", "escalated"):
+        raise ValueError(f"expected.shr.status must be 'success' or 'escalated', got {status!r}")
+    lost = workflow.get("classifiers_lost")
+    return ExpectedCounts(
+        shr_llm=_cell(shr, "expected.shr.llm_calls"),
+        shr_tools=_cell(shr, "expected.shr.tool_calls"),
+        shr_recoveries=_cell(shr, "expected.shr.recoveries"),
+        shr_recoveries_tabulated=_cell(shr, "expected.shr.recoveries_tabulated", bool),
+        shr_status=status,
+        react_llm=_cell(react, "expected.react.llm_calls"),
+        react_tools=_cell(react, "expected.react.tool_calls"),
+        workflow_silent=_cell(workflow, "expected.workflow.silent_failure", bool),
+        classifiers_lost=None if lost is None else _cell(workflow, "expected.workflow.classifiers_lost"),
+        workflow_tools=_cell(workflow, "expected.workflow.tool_calls"),
+        workflow_recoveries=_cell(workflow, "expected.workflow.recoveries"),
+    )
+
+
 def _parse_scenario(doc: dict) -> Scenario:
     """One scenario file; a missing key raises KeyError, a bad value
-    ValueError or TypeError, and a fault on a tool the topology lacks
-    UnknownTool, each naming the field or the tool."""
-    topology = build_topology(doc["topology"])
+    ValueError or TypeError, a fault on a tool the topology lacks
+    UnknownTool, and bad ``monitor_overrides`` MonitorError, each naming
+    the field or the tool."""
+    topology = build_topology(_string(doc["topology"], "topology"))
     faults = doc.get("faults", [])
     if not isinstance(faults, list):
         raise TypeError(f"faults must be a list, got {type(faults).__name__}")
     for i, e in enumerate(faults):
         _object(e, f"faults[{i}]")
+        _string(e["tool"], f"faults[{i}].tool")
     entries = tuple(
         FaultEntry(
             tool=e["tool"],
@@ -253,20 +311,7 @@ def _parse_scenario(doc: dict) -> Scenario:
         risk_visible_after=_count(req, "risk_visible_after"),
     )
     monitor_config = MonitorConfig.from_dict(doc.get("monitor_overrides", {}))
-    exp = doc["expected"]
-    expected = ExpectedCounts(
-        shr_llm=exp["shr"]["llm_calls"],
-        shr_tools=exp["shr"]["tool_calls"],
-        shr_recoveries=exp["shr"]["recoveries"],
-        shr_recoveries_tabulated=bool(exp["shr"]["recoveries_tabulated"]),
-        shr_status=exp["shr"]["status"],
-        react_llm=exp["react"]["llm_calls"],
-        react_tools=exp["react"]["tool_calls"],
-        workflow_silent=bool(exp["workflow"]["silent_failure"]),
-        classifiers_lost=exp["workflow"].get("classifiers_lost"),
-        workflow_tools=exp["workflow"]["tool_calls"],
-        workflow_recoveries=exp["workflow"]["recoveries"],
-    )
+    expected = _expected(doc["expected"])
     return Scenario(
         id=doc["id"],
         name=doc["name"],
@@ -306,6 +351,8 @@ def load_scenarios(override_dir: str | Path | None = None) -> list[Scenario]:
             raise FixtureCorrupt(f"{sid}: {exc.args[0]!r} is missing") from exc
         except (ValueError, TypeError, UnknownTool) as exc:
             raise FixtureCorrupt(f"{sid}: {exc}") from exc
+        except MonitorError as exc:
+            raise FixtureCorrupt(f"{sid}: monitor_overrides: {exc}") from exc
         if scenario.id != sid:
             raise FixtureCorrupt(f"{sid}: file declares id {scenario.id!r}")
         out.append(scenario)
@@ -318,6 +365,9 @@ def load_scenarios(override_dir: str | Path | None = None) -> list[Scenario]:
     return out
 
 
+HARD_FAILURE = ToolCalibration(trip_threshold=1)
+
+
 def scenario_tool_states(graph: ToolGraph) -> dict[str, ToolState]:
     """Benchmark runs model hard failure: one bad call or probe trips the
     breaker, matching the static-weights regime the fixtures encode.
@@ -325,22 +375,31 @@ def scenario_tool_states(graph: ToolGraph) -> dict[str, ToolState]:
     A tool's state is made on first lookup and the dict holds only those
     made so far, which are the only ones whose breaker can be OPEN.  A task
     that calls ten tools of a 500-tool graph allocates ten states, not 500.
+    The map copies no tool set: a lookup asks ``graph`` whether the key is
+    a tool (a declared node that is not a sentinel).  Every state shares
+    the frozen ``HARD_FAILURE`` calibration and has its own breaker.
     """
-    return _StatesOnDemand(graph.nodes - graph.sentinels, ToolCalibration(trip_threshold=1))
+    return _StatesOnDemand(graph)
 
 
 class _StatesOnDemand(dict):
-    def __init__(self, tools: set[str], config: ToolCalibration):
-        self.tools, self.config = frozenset(tools), config
+    __slots__ = ("graph",)
+
+    def __init__(self, graph: ToolGraph):
+        self.graph = graph
 
     def __missing__(self, tool: str) -> ToolState:
-        if tool not in self.tools:
+        graph = self.graph
+        if tool not in graph.nodes or tool in graph.sentinels:
             raise KeyError(tool)
-        state = self[tool] = ToolState(tool, self.config)
+        state = self[tool] = ToolState(tool, HARD_FAILURE)
         return state
 
     def get(self, tool: str, default=None):
-        return self[tool] if tool in self.tools else default
+        try:
+            return self[tool]
+        except KeyError:
+            return default
 
 
 def run_schedule(

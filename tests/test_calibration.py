@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from toolrouter.calibration import (
+    DEFAULT_CALIBRATION,
     WINDOW_CAPACITY,
     WINDOW_HORIZON_MS,
     BreakerPhase,
@@ -162,3 +165,28 @@ class TestConfig:
         with pytest.raises(OutOfRange, match="delta_ms"):
             clock.advance(delta)
         assert clock.now == 7
+
+    @pytest.mark.parametrize("delta, calls, now", [(0.9, 1_000, 900), (120.7, 1_000, 120_700), (0.25, 3, 0), (0.25, 4, 1)])
+    def test_clock_carries_fractional_milliseconds(self, delta, calls, now):
+        clock = SimClock()
+        for _ in range(calls):
+            clock.advance(delta)
+        assert clock.now == now and type(clock.now) is int
+
+    def test_calibration_is_frozen_and_shared_by_default(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DEFAULT_CALIBRATION.trip_threshold = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ToolCalibration(trip_threshold=1).cooldown_ms = 0
+        a, b = ToolState("a"), ToolState("b")
+        assert a.config is b.config is DEFAULT_CALIBRATION
+        assert a.breaker is not b.breaker
+        assert a.breaker == BreakerState(trip_threshold=3, cooldown_ms=10_000)
+
+    def test_state_and_breaker_are_slotted(self):
+        state = ToolState("t", ToolCalibration(trip_threshold=2, cooldown_ms=50))
+        assert (state.breaker.trip_threshold, state.breaker.cooldown_ms) == (2, 50)
+        with pytest.raises(AttributeError):
+            state.extra = 1
+        with pytest.raises(AttributeError):
+            state.breaker.extra = 1

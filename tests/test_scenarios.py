@@ -6,18 +6,23 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toolrouter.scenarios as scenarios_mod
-from toolrouter.calibration import SimClock
+from toolrouter.calibration import BreakerPhase, SimClock, ToolCalibration, ToolState
 from toolrouter.monitors import MonitorError
-from toolrouter.orchestrator import TraceStatus
+from toolrouter.orchestrator import Outcome, TraceStatus
 from toolrouter.scenarios import (
+    PROBE_LATENCY_MS,
+    TOOL_CALL_LATENCY_MS,
     FaultEffect,
     HealthyInvoker,
     FaultEntry,
     FaultSchedule,
     FixtureCorrupt,
     ScheduledInvoker,
+    ScheduledProber,
     UnknownTool,
     fixture_digest,
     load_scenarios,
@@ -97,8 +102,9 @@ class TestLoading:
         doc = json.loads((tmp_path / "T4.json").read_text())
         doc["monitor_overrides"].update(bad)
         (tmp_path / "T4.json").write_text(json.dumps(doc))
-        with pytest.raises(MonitorError, match=field):
+        with pytest.raises(FixtureCorrupt, match="^T4: monitor_overrides: .*" + field) as err:
             load_scenarios(override_dir=tmp_path)
+        assert isinstance(err.value.__cause__, MonitorError)
 
     @pytest.mark.parametrize(
         "corrupt, names",
@@ -117,11 +123,23 @@ class TestLoading:
             (lambda doc: doc["request"].update(risk_score="high"), "risk_score must be null or a number >= 0, got 'high'"),
             (lambda doc: doc.update(faults=["stripe"]), "faults[0] must be an object, got str"),
             (lambda doc: doc["faults"][0].update(tool="warp_drive"), "fault entry references unknown tool 'warp_drive'"),
+            (lambda doc: doc["faults"][0].update(tool=["stripe"]), "faults[0].tool must be a string, got list"),
+            (lambda doc: doc.update(topology=["linear_pipeline"]), "topology must be a string, got list"),
+            (lambda doc: doc.update(expected=5), "expected must be an object, got int"),
+            (lambda doc: doc["expected"].update(react=[]), "expected.react must be an object, got list"),
+            (lambda doc: doc["expected"]["shr"].update(llm_calls="x"), "expected.shr.llm_calls must be an integer >= 0, got 'x'"),
+            (lambda doc: doc["expected"]["shr"].update(tool_calls=-1), "expected.shr.tool_calls must be an integer >= 0, got -1"),
+            (lambda doc: doc["expected"]["react"].update(llm_calls=True), "expected.react.llm_calls must be an integer >= 0, got True"),
+            (lambda doc: doc["expected"]["workflow"].update(classifiers_lost=1.5), "expected.workflow.classifiers_lost must be an integer >= 0, got 1.5"),
+            (lambda doc: doc["expected"]["workflow"].update(silent_failure="no"), "expected.workflow.silent_failure must be a boolean, got 'no'"),
+            (lambda doc: doc["expected"]["shr"].update(status=["success"]), "expected.shr.status must be 'success' or 'escalated', got ['success']"),
         ],
         ids=[
             "effect", "request_text", "at_step", "expected", "faults_object", "topology",
             "request_type", "text_type", "amount_type", "amount_negative", "amount_bool",
-            "risk_score_type", "fault_entry_type", "unknown_tool",
+            "risk_score_type", "fault_entry_type", "unknown_tool", "fault_tool_type", "topology_type",
+            "expected_type", "expected_section_type", "expected_count_type", "expected_count_negative",
+            "expected_count_bool", "expected_optional_count", "expected_flag_type", "expected_status",
         ],
     )
     def test_malformed_scenario_names_the_field(self, tmp_path, corrupt, names):
@@ -129,8 +147,9 @@ class TestLoading:
         doc = json.loads((tmp_path / "S2.json").read_text())
         corrupt(doc)
         (tmp_path / "S2.json").write_text(json.dumps(doc))
-        with pytest.raises(FixtureCorrupt, match="^S2: " + re.escape(names)):
+        with pytest.raises(FixtureCorrupt, match="^S2: " + re.escape(names)) as err:
             load_scenarios(override_dir=tmp_path)
+        assert err.value.__cause__ is not None
 
     def test_schedule_rejects_unknown_tool(self):
         schedule = FaultSchedule((FaultEntry("warp_drive", FaultEffect.DOWN_FROM_START),))
@@ -222,6 +241,104 @@ class TestFaultSchedules:
         assert states.get(START) is None and states.get("nope", 0) == 0  # sentinels and unknowns have none
         with pytest.raises(KeyError):
             states["nope"]
+
+
+    def test_healthy_invoker_shares_its_outcome_until_the_latency_changes(self):
+        invoker, clock = HealthyInvoker(), SimClock()
+        first = invoker.invoke("crm", clock)
+        assert first == Outcome.ok(TOOL_CALL_LATENCY_MS) and invoker.invoke("stripe", clock) is first
+        invoker.latency_ms = 7.5
+        assert invoker.invoke("crm", clock) == Outcome.ok(7.5)
+        assert ScheduledInvoker(FaultSchedule(), base=invoker).invoke("crm", clock).latency_ms == 7.5
+
+    def test_fault_values_keep_no_attribute_dict(self):
+        """A workload holds thousands of schedules for its whole run."""
+        entry = FaultEntry("stripe", FaultEffect.FAIL_AT_STEP, at_step=2)
+        assert not hasattr(entry, "__dict__") and not hasattr(FaultSchedule((entry,)), "__dict__")
+
+    def test_tool_state_maps_share_no_state(self):
+        graph = build_topology(TopologyKind.LINEAR_PIPELINE).fresh_graph()
+        a, b = scenario_tool_states(graph), scenario_tool_states(graph)
+        for tool in graph.tool_nodes():
+            assert a[tool] is not b[tool] and a[tool].breaker is not b[tool].breaker
+            assert a[tool].config is b[tool].config
+        a["stripe"].record_call(SimClock(), 100.0, success=False)
+        assert a["stripe"].breaker.phase is BreakerPhase.OPEN
+        assert b["stripe"].breaker.phase is BreakerPhase.CLOSED
+
+
+class _ReferenceInvoker:
+    """The scheduled invoker as it was before it kept its set of scheduled
+    tools: every call reads every entry."""
+
+    def __init__(self, schedule: FaultSchedule):
+        self.schedule = schedule
+        self.attempts = 0
+
+    def invoke(self, node: str, clock: SimClock) -> Outcome:
+        entry = next((e for e in self.schedule.entries if e.tool == node and e.active(self.attempts)), None)
+        self.attempts += 1
+        if entry is not None:
+            return Outcome.failed(entry.kind, TOOL_CALL_LATENCY_MS)
+        return Outcome.ok(TOOL_CALL_LATENCY_MS)
+
+
+def _reference_scan(schedule: FaultSchedule, clock: SimClock, states, attempts: int) -> list[str]:
+    """The prober's scan as it was before it kept its probe-visible entries."""
+    opened = []
+    for entry in schedule.entries:
+        if not entry.probe_visible or not entry.active(attempts):
+            continue
+        state = states.get(entry.tool)
+        if state is None or state.breaker.phase is BreakerPhase.OPEN:
+            continue
+        state.run_health_probe(clock, PROBE_LATENCY_MS, success=False)
+        if state.breaker.phase is BreakerPhase.OPEN:
+            opened.append(entry.tool)
+    return sorted(opened)
+
+
+class TestScheduledReplay:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_invoker_and_prober_match_the_reference_loops(self, data):
+        """Random schedules with both effects, mixed probe visibility and
+        at_step 0-5, replayed through interleaved calls and scans: the
+        invoker and prober give the same outcomes, attempt counts, opened
+        lists and breaker phases as the loops that read every entry."""
+        topo = build_topology(data.draw(st.sampled_from(list(TopologyKind))))
+        graph = topo.fresh_graph()
+        tools = graph.tool_nodes()
+        entry = st.builds(
+            FaultEntry,
+            tool=st.sampled_from(tools),
+            effect=st.sampled_from(list(FaultEffect)),
+            kind=st.sampled_from(["timeout", "error_response", "connection_refused"]),
+            probe_visible=st.booleans(),
+            at_step=st.integers(0, 5),
+        )
+        schedule = FaultSchedule(tuple(data.draw(st.lists(entry, max_size=5))))
+        ops = data.draw(st.lists(st.one_of(st.sampled_from(tools), st.none()), max_size=25))
+
+        invoker = ScheduledInvoker(schedule)
+        prober = ScheduledProber(schedule, invoker)
+        states, clock = scenario_tool_states(graph), SimClock()
+        reference = _ReferenceInvoker(schedule)
+        ref_states = {t: ToolState(t, ToolCalibration(trip_threshold=1)) for t in tools}
+        ref_clock = SimClock()
+        for node in ops:
+            if node is None:  # a sweep's scan
+                assert prober.scan(clock, states, invoker.attempts) == _reference_scan(
+                    schedule, ref_clock, ref_states, reference.attempts
+                )
+            else:
+                got, want = invoker.invoke(node, clock), reference.invoke(node, ref_clock)
+                assert got == want
+                for c, st_map, outcome in ((clock, states, got), (ref_clock, ref_states, want)):
+                    c.advance(outcome.latency_ms)
+                    st_map[node].record_call(c, outcome.latency_ms, outcome.success)
+            assert invoker.attempts == reference.attempts and clock.now == ref_clock.now
+            assert [states[t].breaker.phase for t in tools] == [ref_states[t].breaker.phase for t in tools]
 
 
 class TestEmergentColumns:
