@@ -32,7 +32,7 @@ from .scenarios import (
     run_schedule,
     run_self_healing,
 )
-from .topologies import START, TopologyKind, achieved_outcomes, build_topology
+from .topologies import BUILDERS, START, TopologyKind, achieved_outcomes, build_topology
 
 
 ARCHITECTURES = ("shr", "react", "static")
@@ -455,8 +455,8 @@ def measure_recovery_latency(repetitions: int = 200) -> dict:
     This is the only place the package reads real time.
 
     Every timed search is computed, never read from a route memo: each
-    sample runs on a graph that owns its adjacency, and such a graph keeps
-    no memo (see ``ToolGraph``)."""
+    sample runs on a graph from the topology's builder, never forked, and
+    such a graph keeps no memo (see ``ToolGraph``)."""
     if repetitions < 1:
         raise BenchError(f"repetitions must be >= 1, got {repetitions}")
     results = {}
@@ -466,8 +466,7 @@ def measure_recovery_latency(repetitions: int = 200) -> dict:
         samples = []
         tools = topo.fresh_graph().tool_nodes()
         for i in range(repetitions):
-            graph = topo.fresh_graph()
-            graph.add_node(START, sentinel=True)  # adds nothing, but copies the adjacency and drops the memo
+            graph = BUILDERS[kind]()
             victim = tools[i % len(tools)]
             t0 = time.perf_counter()
             graph.quarantine_node(victim)

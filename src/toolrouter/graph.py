@@ -3,23 +3,20 @@
 Tools are nodes and directed edges carry strictly positive finite costs that
 never change once added, kept in one forward adjacency whose keys are the
 declared nodes.  Quarantine is a set of nodes: an edge is usable only while
-neither endpoint is quarantined, so an edge wired in after a quarantine is
-excluded too.  Search is one forward Dijkstra pass from the source with a
-binary heap, O((V+E) log V), stopping once the goal is settled, so it
-settles only the nodes cheaper than the route.  A depth-first walk from the
-source over the tight out-edges of those nodes then picks, among equal-cost
-routes, the lexicographically smallest node-id sequence, so identical graph
-states always produce identical paths.
+neither endpoint is quarantined.  A search may be given a lane, extra edges
+it reads over the graph's own without writing them.  Search is one forward
+Dijkstra pass from the source with a binary heap, O((V+E) log V), stopping
+once the goal is settled.  A depth-first walk from the source over the
+tight out-edges of the settled nodes then picks, among equal-cost routes,
+the lexicographically smallest node-id sequence, so identical graph states
+always produce identical paths.
 
-Graphs made by ``fork`` share their nodes and edges until one of them adds
-a node or an edge, which copies them first, so a quarantine or a demotion
-lane stays with the graph that made it.  While they share them, they also
-share a route memo (Michie's memo functions, 1968): a route is a pure
-function of the frozen adjacency, the source, the goal and the quarantine
-set, so a search asked again under the same quarantine set is a lookup.
-The memo holds at most ``ROUTE_MEMO_ENTRIES`` routes and is cleared when
-full; a graph that was never forked, or that has copied its adjacency,
-keeps none and computes every route.
+Graphs made by ``fork`` share their frozen nodes and edges and a route memo
+(Michie's memo functions, 1968): a route is a pure function of the
+adjacency, the source, the goal, the quarantine set and the lane, so a
+search asked again with the same ones is a lookup.  The memo holds at most
+``ROUTE_MEMO_ENTRIES`` routes and is cleared when full; a graph that was
+never forked stays writable, keeps none and computes every route.
 """
 
 from __future__ import annotations
@@ -51,6 +48,10 @@ class NonPositiveWeight(GraphError):
     pass
 
 
+class BadLaneEdge(GraphError):
+    """A lane edge that ``add_edge`` would refuse."""
+
+
 @dataclass(frozen=True)
 class Edge:
     """Snapshot of a directed edge.  ``effective_weight`` is the base weight,
@@ -71,25 +72,20 @@ class RoutePath:
 
 
 class ToolGraph:
-    """Mutable routing substrate for one task.
+    """A topology's nodes and edges, plus one task's quarantine set and
+    search count.  ``sentinels`` marks start/goal markers that are routable
+    but never invoked as tools.  A task's progress lives in its
+    ``ExecutionTrace``, and a demotion's fallback edges are the lane it
+    passes to ``shortest_path``, so ``quarantined`` is the only task state
+    a graph holds.
 
-    Single writer per instance.  ``sentinels`` marks start/goal markers
-    that are routable but never invoked as tools.
-
-    A task's progress lives in its ``ExecutionTrace``, but a task does write
-    into the graph it runs on: it adds nodes to ``quarantined``, and a
-    demotion wires in its fallback lane (``DemotionOption.extra_edges``).
     ``fork`` gives each task its own graph over the same nodes and edges
-    without copying them: every graph has its own ``quarantined`` set and
-    ``search_count``, and the first ``add_node`` or ``add_edge`` on a
-    graph that shares its adjacency copies it, so the write reaches no
-    other graph.  The graphs sharing an adjacency also share one route
-    memo, keyed by ``(source, goal, frozenset(quarantined))``; copying the
-    adjacency drops the copier's memo, so a demotion lane never reads or
-    writes another task's routes.  The memo holds derived routes, never
-    task progress.  Forks only read the adjacency they share and write only
-    the memo, whose every value is a pure function of its key and that
-    frozen adjacency, so concurrent writers store equal values and forks may
+    without copying them, with its own ``quarantined`` and ``search_count``.
+    Forking freezes the adjacency: ``add_node`` and ``add_edge`` on a fork,
+    or on the graph it came from, raise ``GraphError``.  Forks share one
+    route memo keyed by ``(source, goal, frozenset(quarantined), lane)``.
+    They only read the adjacency and write only the memo, whose every value
+    is a pure function of its key and that frozen adjacency, so forks may
     live on distinct threads (racing writers may each add one route past
     the cap).
     """
@@ -98,29 +94,20 @@ class ToolGraph:
         self._out: dict[str, dict[str, float]] = {}  # src -> {dst: weight}, keyed by every declared node
         self.nodes: KeysView[str] = self._out.keys()
         self.sentinels: set[str] = set()
-        self._shared = False  # another graph holds the containers above
-        self._routes: dict[tuple[str, str, frozenset[str]], RoutePath | None] | None = None  # shared while _shared
+        self._routes: dict[tuple, RoutePath | None] | None = None  # shared by forks; a graph with one is frozen
         self.quarantined: set[str] = set()
         self.search_count = 0  # shortest_path invocations, memo hits included
 
     def fork(self) -> ToolGraph:
         """A graph over this graph's nodes and edges, with nothing
         quarantined and no searches counted.  The two share adjacency and
-        route memo until either adds a node or an edge."""
+        route memo, and neither can be written from now on."""
         g = ToolGraph()
         if self._routes is None:
             self._routes = {}
         g.sentinels, g._out, g._routes = self.sentinels, self._out, self._routes
         g.nodes = self.nodes
-        g._shared = self._shared = True
         return g
-
-    def _unshare(self) -> None:
-        self.sentinels = set(self.sentinels)
-        self._out = {n: dict(targets) for n, targets in self._out.items()}
-        self.nodes = self._out.keys()
-        self._routes = None
-        self._shared = False
 
     # -- construction -------------------------------------------------
 
@@ -128,15 +115,17 @@ class ToolGraph:
         """Declare ``node_id``; declaring it again can only add the sentinel
         mark.  ``base_cost`` is unused (search reads only edge weights);
         accepted because perfbench passes it."""
+        if self._routes is not None:
+            raise GraphError(f"cannot add node {node_id!r}: a forked graph is frozen")
         if not node_id or not isinstance(node_id, str):
             raise GraphError("node id must be a non-empty string")
-        if self._shared:
-            self._unshare()
         self._out.setdefault(node_id, {})
         if sentinel:
             self.sentinels.add(node_id)
 
     def add_edge(self, src: str, dst: str, weight: float) -> None:
+        if self._routes is not None:
+            raise GraphError(f"cannot add edge {src!r} -> {dst!r}: a forked graph is frozen")
         if src == dst:
             raise GraphError(f"self-loop on {src!r} not allowed")
         out = self._out  # keyed by exactly the declared nodes
@@ -147,9 +136,6 @@ class ToolGraph:
         is_float = type(weight) is float
         if not ((is_float or isinstance(weight, (int, float))) and 0 < weight < INFINITE):
             raise NonPositiveWeight(f"edge weight must be finite and > 0, got {weight!r}")
-        if self._shared:
-            self._unshare()
-            out = self._out
         out[src][dst] = weight if is_float else float(weight)
 
     # -- inspection ---------------------------------------------------
@@ -183,25 +169,15 @@ class ToolGraph:
             raise UnknownNode(f"unknown node {node!r}")
         self.quarantined.add(node)
 
-    def is_quarantined(self, node: str) -> bool:
-        if node not in self.nodes:
-            raise UnknownNode(f"unknown node {node!r}")
-        return node in self.quarantined
-
-    def restore_node(self, node: str) -> None:
-        """Lift a quarantine; edges to still-quarantined nodes stay excluded."""
-        if node not in self.nodes:
-            raise UnknownNode(f"unknown node {node!r}")
-        self.quarantined.discard(node)
-
     # -- search -------------------------------------------------------
 
-    def shortest_path(self, source: str, goal: str) -> RoutePath | None:
+    def shortest_path(self, source: str, goal: str, lane: tuple = ()) -> RoutePath | None:
         """Minimum-cost path over unquarantined edges, or None if no route.
 
-        Every call counts in ``search_count``.  While the adjacency is
-        shared, a route already found under the same quarantine set is
-        read from the memo; otherwise it is computed (``_search``).
+        ``lane`` holds extra ``(src, dst, weight)`` edges to route over too
+        (see ``_overlay``).  Every call counts in ``search_count``.  On a
+        forked graph, a route already found with the same quarantine set and
+        lane is read from the memo; otherwise it is computed (``_search``).
         """
         for n in (source, goal):
             if n not in self.nodes:
@@ -214,18 +190,19 @@ class ToolGraph:
             return None
         memo = self._routes
         if memo is None:
-            return self._search(source, goal)
-        key = (source, goal, frozenset(blocked))
+            return self._search(source, goal, lane)
+        key = (source, goal, frozenset(blocked), lane)
         route = memo.get(key, _UNSEEN)
         if route is _UNSEEN:
-            route = self._search(source, goal)
+            route = self._search(source, goal, lane)
             if len(memo) >= ROUTE_MEMO_ENTRIES:
                 memo.clear()
             memo[key] = route
         return route
 
-    def _search(self, source: str, goal: str) -> RoutePath | None:
-        """Compute the route between two distinct unquarantined nodes.
+    def _search(self, source: str, goal: str, lane: tuple) -> RoutePath | None:
+        """Compute the route between two distinct unquarantined nodes, over
+        the adjacency with ``lane``'s rows overlaid (``_overlay``).
 
         One forward Dijkstra pass from ``source`` stops once ``goal`` is
         settled, so only nodes cheaper than the route are settled.  Every
@@ -239,7 +216,7 @@ class ToolGraph:
         ends even on a cycle of edges below the 1e-9 tolerance; its tight
         successors are scanned on entry and sorted once if the walk backs up.
         """
-        out = self._out
+        out = self._overlay(lane) if lane else self._out
         dist: dict[str, float] = {}  # settled distances from the source
         # A quarantined node's best is 0.0 and a settled node's is its
         # distance, so with weights > 0 no candidate improves either: one
@@ -282,6 +259,22 @@ class ToolGraph:
         for u, v in zip(path, path[1:]):
             total += out[u][v]
         return RoutePath(tuple(path), total)
+
+    def _overlay(self, lane: tuple) -> dict[str, dict[str, float]]:
+        """The adjacency with each lane edge added to a copy of its source's
+        row, unless that row already has an edge to the same node: a graph
+        edge beats a lane edge, and an earlier lane edge a later one.  An
+        edge that is added must pass ``add_edge``'s checks."""
+        out = self._out
+        rows: dict[str, dict[str, float]] = {}
+        for edge in lane:
+            src, dst, w = edge
+            if dst in rows.get(src, out.get(src, ())):
+                continue
+            if src == dst or src not in out or dst not in out or not (isinstance(w, (int, float)) and 0 < w < INFINITE):
+                raise BadLaneEdge(f"lane edge {edge!r} needs declared, distinct endpoints and a finite weight > 0")
+            rows.setdefault(src, dict(out[src]))[dst] = float(w)
+        return out | rows
 
     # -- serialization ------------------------------------------------
 

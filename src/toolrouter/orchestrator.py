@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Mapping, Protocol
 
 from .calibration import SimClock, ToolState
-from .graph import RoutePath, ToolGraph
+from .graph import BadLaneEdge, RoutePath, ToolGraph
 from .monitors import DEFAULT_MONITOR_CONFIG, MonitorConfig, RequestContext, compete, run_all_monitors
 
 _MAX_LOOP = 10_000  # route passes before a run escalates as "loop_bound"
@@ -65,9 +65,10 @@ class Prober(Protocol):
 
 @dataclass(frozen=True)
 class DemotionOption:
-    """One rung of a goal's fallback ladder.  ``extra_edges`` are wired into
-    the graph only when this goal becomes active, so fallback-only routes
-    never influence primary routing."""
+    """One rung of a goal's fallback ladder.  Once the rung is tried, its
+    ``extra_edges`` join the lane that the task's later searches route over
+    (``ToolGraph.shortest_path``); no graph is written, so fallback-only
+    routes never reach primary routing or another task."""
 
     goal_id: str
     goal_node: str
@@ -225,6 +226,7 @@ def execute_task(
     position = start  # last successfully completed node
     goal_node = goal.goal_node
     ladder_index = 0  # ladder options before this index have been tried
+    lane: tuple[tuple[str, str, float], ...] = ()  # extra_edges of every rung tried
 
     def sweep(failed_batch: tuple[str, ...] = ()):
         if prober is not None:
@@ -276,8 +278,9 @@ def execute_task(
         escalation query.  Every other verdict ends the run as ESCALATED
         and returns None.  This loops rather than recursing: a recursive
         closure would form a reference cycle that keeps the task's graph
-        alive until a garbage collection."""
-        nonlocal goal_node, ladder_index
+        alive until a garbage collection.  A bad lane edge is first searched
+        over, so raised, by the demotion search of the rung that brought it."""
+        nonlocal goal_node, ladder_index, lane
         while True:
             query = ReasonerQuery(
                 kind=kind,
@@ -299,10 +302,11 @@ def execute_task(
                 note = f"rejected demotion to {verdict.goal_id!r}: not an untried option for {goal.id}"
                 break
             ladder_index = goal.ladder.index(option) + 1
-            for src, dst, w in option.extra_edges:
-                if not graph.has_edge(src, dst):
-                    graph.add_edge(src, dst, w)
-            route = graph.shortest_path(position, option.goal_node)
+            lane += option.extra_edges
+            try:
+                route = graph.shortest_path(position, option.goal_node, lane)
+            except BadLaneEdge as exc:
+                raise BadLaneEdge(f"demotion rung {option.goal_id!r}: {exc}") from None
             if route is not None:
                 goal_node = option.goal_node
                 trace.demotions.append({"from": trace.final_goal, "to": option.goal_id, "at_ms": clock.now})
@@ -320,7 +324,7 @@ def execute_task(
         last completed node, and on a null route consult once for a
         demotion.  Returns the route to resume on, or None once escalated."""
         quarantine(batch)
-        route = graph.shortest_path(position, goal_node)
+        route = graph.shortest_path(position, goal_node, lane)
         trace.failure_recomputes += 1
         if route is None:
             trace.null_routes += 1

@@ -7,9 +7,10 @@ the full backup route (razorpay + sms) at 6.0.
 
 Fallback goals ("demotions") get their own goal markers.  Where a demoted
 goal needs routes the primary goal must never see (travel's skip-the-hotel
-lane), those edges live on the demotion option and are wired into a task's
-graph only when its goal actually demotes.  Each topology's graph is built
-once, at import; ``Topology.fresh_graph`` hands every task a fork of it.
+lane), those edges live on the demotion option, and a task that tries it
+passes them to its searches as a lane; no graph is written.  Each
+topology's graph is built once, at import, by its builder in ``BUILDERS``;
+``Topology.fresh_graph`` hands every task a fork of it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ class Topology:
     required_outcomes: tuple[str, ...]
 
     def fresh_graph(self) -> ToolGraph:
-        """A graph for one task.  Every graph of a topology shares one
-        adjacency, built and validated once; a task's quarantines and
-        demotion lanes stay in its own graph (see ``ToolGraph.fork``)."""
+        """A graph for one task: a fork of the topology's graph, built and
+        validated once.  Every fork shares its frozen adjacency and route
+        memo, and has its own quarantine set (see ``ToolGraph.fork``)."""
         return _GRAPHS[self.kind].fork()
 
 
@@ -109,11 +110,12 @@ def _moderation_graph() -> ToolGraph:
     return g
 
 
-_GRAPHS = {
-    TopologyKind.LINEAR_PIPELINE: _support_graph(),
-    TopologyKind.DEPENDENCY_DAG: _travel_graph(),
-    TopologyKind.PARALLEL_FANOUT: _moderation_graph(),
+BUILDERS = {
+    TopologyKind.LINEAR_PIPELINE: _support_graph,
+    TopologyKind.DEPENDENCY_DAG: _travel_graph,
+    TopologyKind.PARALLEL_FANOUT: _moderation_graph,
 }
+_GRAPHS = {kind: build() for kind, build in BUILDERS.items()}
 
 # Fallback lane for "book what we can without lodging": flight connects
 # straight to the car stage, and the car stage closes out the demoted goal.

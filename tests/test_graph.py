@@ -20,7 +20,7 @@ from toolrouter.graph import (
     UnknownEdge,
     UnknownNode,
 )
-from toolrouter.topologies import START, TopologyKind, build_topology
+from toolrouter.topologies import BUILDERS, START, TopologyKind, build_topology
 
 from conftest import count_calls, make_random_graph
 
@@ -66,11 +66,14 @@ class TestShortestPath:
             for v in sorted(g.nodes):
                 if rng.random() < 0.2:
                     g.quarantine_node(v)
-            # An edge wired in after the quarantine, as a demotion lane is.
+            # A demotion lane, routed over after the quarantine; the oracle
+            # reads it wired into the graph, where the graph's own edge wins.
             a, b = rng.sample(sorted(g.nodes), 2)
-            g.add_edge(a, b, rng.choice([1.0, 2.0, 0.5]))
+            lane = ((a, b, rng.choice([1.0, 2.0, 0.5])),)
+            got = g.shortest_path(src, dst, lane)
+            if not g.has_edge(a, b):
+                g.add_edge(*lane[0])
             expected = brute_force_shortest(g, src, dst)
-            got = g.shortest_path(src, dst)
             if expected is None:
                 assert got is None
             else:
@@ -147,35 +150,52 @@ class TestShortestPath:
     @given(st.data())
     def test_search_sequences_match_brute_force(self, data):
         """Quarantines (some of a node on the last route, then a reroute),
-        restores, demotion lanes and goal changes between searches from
-        random sources, over tie-prone weights, on two forks of one base.
-        Every question is asked on both forks: they share a route memo
-        until a lane copies one fork's adjacency, so the oracle checks memo
-        hits, misses and the copy."""
+        demotion lanes and goal changes between searches from random
+        sources, over tie-prone weights, on two forks of one base.  Every
+        question is asked on both forks, each with its own lane: they share
+        one route memo keyed by quarantine set and lane, so the oracle
+        checks memo hits and misses.  The oracle's graph is an unforked
+        copy with the fork's lane wired in, the first edge between two
+        nodes winning."""
         names = [f"n{i}" for i in range(data.draw(st.integers(2, 9), label="nodes"))]
         pairs = [(a, b) for a in names for b in names if a != b]
         node, pair, weight = st.sampled_from(names), st.sampled_from(pairs), st.sampled_from((0.5, 1.0, 2.0, 3.0))
-        base = ToolGraph()
-        for name in names:
-            base.add_node(name)
-        for a, b in data.draw(st.lists(pair, min_size=len(names), max_size=3 * len(names), unique=True), label="edges"):
-            base.add_edge(a, b, data.draw(weight))
-        forks = (base.fork(), base.fork())
+        edges = [
+            (a, b, data.draw(weight))
+            for a, b in data.draw(st.lists(pair, min_size=len(names), max_size=3 * len(names), unique=True), label="edges")
+        ]
+
+        def build(lane=()) -> ToolGraph:
+            g = ToolGraph()
+            for name in names:
+                g.add_node(name)
+            for a, b, w in edges:
+                g.add_edge(a, b, w)
+            for a, b, w in lane:
+                if not g.has_edge(a, b):
+                    g.add_edge(a, b, w)
+            return g
+
+        base = build()
+        forks, lanes = (base.fork(), base.fork()), [(), ()]
         goal, source = data.draw(node, label="goal"), data.draw(node, label="source")
 
         def ask() -> list[RoutePath | None]:
             routes = []
-            for g in forks:
+            for g, lane in zip(forks, lanes):
                 before = g.search_count
-                got = g.shortest_path(source, goal)
+                got = g.shortest_path(source, goal, lane)
                 assert g.search_count == before + 1
-                expected = brute_force_shortest(g, source, goal)
+                reference = build(lane)
+                for n in g.quarantined:
+                    reference.quarantine_node(n)
+                expected = brute_force_shortest(reference, source, goal)
                 assert (None if got is None else (got.total_cost, got.nodes)) == expected
                 routes.append(got)
             return routes
 
         routes = ask()
-        steps = st.sampled_from(("quarantine", "fail", "restore", "lane", "goal", "search", "search"))
+        steps = st.sampled_from(("quarantine", "fail", "lane", "goal", "search", "search"))
         for step in data.draw(st.lists(steps, min_size=1, max_size=12), label="steps"):
             side = data.draw(st.integers(0, 1), label="fork")
             g = forks[side]
@@ -186,12 +206,8 @@ class TestShortestPath:
                 if route is not None and len(route.nodes) > 2:
                     g.quarantine_node(data.draw(st.sampled_from(route.nodes[1:-1])))
                 routes = ask()
-            elif step == "restore":
-                g.restore_node(data.draw(node))
             elif step == "lane":
-                a, b = data.draw(pair)
-                if not g.has_edge(a, b):
-                    g.add_edge(a, b, data.draw(weight))
+                lanes[side] += ((*data.draw(pair), data.draw(weight)),)
             elif step == "goal":
                 goal = data.draw(node)
             else:
@@ -242,7 +258,7 @@ def blocked_edges(g) -> int:
 
 
 class TestQuarantine:
-    def test_counts_touching_edges_and_reroutes(self, support_graph):
+    def test_counts_touching_edges_and_reroutes(self):
         cases = [
             ((), (), 3),  # crm->stripe, stripe->email, stripe->sms
             # Two lanes into stripe, from razorpay (live) and from sms
@@ -251,7 +267,7 @@ class TestQuarantine:
             ((("razorpay", "stripe"), ("sms", "stripe")), ("sms",), 3),
         ]
         for lanes, quarantined, changed in cases:
-            g = support_graph.fork()
+            g = BUILDERS[TopologyKind.LINEAR_PIPELINE]()  # unforked, so it can be written
             for a, b in lanes:
                 g.add_edge(a, b, 1.0)
             for node in quarantined:
@@ -268,12 +284,13 @@ class TestQuarantine:
         support_graph.quarantine_node("stripe")
         assert {(e.src, e.dst): e.effective_weight for e in support_graph.edges()} == snapshot
 
-    def test_isolated_node_modifies_nothing(self, support_graph):
-        support_graph.add_node("lonely")
-        before = support_graph.shortest_path(START, "goal_refund")
-        support_graph.quarantine_node("lonely")
-        assert blocked_edges(support_graph) == 0
-        assert support_graph.shortest_path(START, "goal_refund") == before
+    def test_isolated_node_modifies_nothing(self):
+        g = BUILDERS[TopologyKind.LINEAR_PIPELINE]()  # unforked, so it can be written
+        g.add_node("lonely")
+        before = g.shortest_path(START, "goal_refund")
+        g.quarantine_node("lonely")
+        assert blocked_edges(g) == 0
+        assert g.shortest_path(START, "goal_refund") == before
 
     def test_unknown_node(self, support_graph):
         with pytest.raises(UnknownNode):
@@ -291,17 +308,6 @@ class TestQuarantine:
 
 
 class TestRestoreAndReweight:
-    def test_quarantine_then_restore_is_identity(self, support_graph):
-        original = support_graph.shortest_path(START, "goal_refund")
-        support_graph.quarantine_node("stripe")
-        support_graph.restore_node("stripe")
-        assert support_graph.shortest_path(START, "goal_refund") == original
-
-    def test_restore_untouched_node_changes_nothing(self, support_graph):
-        before = {(e.src, e.dst): e.effective_weight for e in support_graph.edges()}
-        support_graph.restore_node("razorpay")
-        assert {(e.src, e.dst): e.effective_weight for e in support_graph.edges()} == before
-
     def test_unknown_edge(self, support_graph):
         with pytest.raises(UnknownEdge):
             support_graph.edge("email", "crm")
@@ -347,20 +353,23 @@ class TestFork:
         assert fork.quarantined == set() and fork.search_count == 0
         assert fork.to_json() == support_graph.to_json()
 
-    def test_writes_on_either_side_stay_on_that_side(self, support_graph):
-        origin = support_graph.to_json()
-        a, b = support_graph.fork(), support_graph.fork()
-        a.add_node("extra", sentinel=True)
-        a.add_edge("crm", "email", 1.0)
-        b.add_edge("stripe", "goal_refund", 5.0)
-        support_graph.add_edge("razorpay", "goal_store_credit", 1.0)
-        assert a.has_edge("crm", "email") and not b.has_edge("crm", "email")
-        assert "extra" in a.nodes and "extra" in a.sentinels and "extra" not in b.nodes | support_graph.nodes
-        assert b.has_edge("stripe", "goal_refund") and not a.has_edge("stripe", "goal_refund")
-        assert not a.has_edge("razorpay", "goal_store_credit") and not b.has_edge("razorpay", "goal_store_credit")
-        assert not support_graph.has_edge("crm", "email") and not support_graph.has_edge("stripe", "goal_refund")
-        assert support_graph.fork().to_json() != origin  # the origin's own write stays with it
-
+    def test_writes_on_a_fork_or_its_base_are_refused(self):
+        base = BUILDERS[TopologyKind.LINEAR_PIPELINE]()
+        base.add_node("extra")  # writable until it is forked
+        origin = base.to_json()
+        fork = base.fork()
+        writes = [
+            lambda g: g.add_node("lonely"),
+            lambda g: g.add_node("crm", sentinel=True),
+            lambda g: g.add_edge("crm", "email", 1.0),
+            lambda g: g.add_edge("crm", "stripe", 5.0),
+        ]
+        for g in (fork, base):
+            for write in writes:
+                with pytest.raises(GraphError, match="frozen"):
+                    write(g)
+        assert base.to_json() == fork.to_json() == origin
+        assert "crm" not in base.sentinels and base.fork().to_json() == origin
 
 
 class TestRouteMemo:
@@ -378,18 +387,27 @@ class TestRouteMemo:
         assert base.fork().shortest_path("a", "z") is first  # every fork reads the one memo
         assert computed[0] == 1
 
-    def test_lane_on_one_fork_leaves_the_other_untouched(self, support_graph):
-        a, b = support_graph.fork(), support_graph.fork()
+    def test_lane_on_one_fork_leaves_the_other_untouched(self, monkeypatch):
+        base = BUILDERS[TopologyKind.LINEAR_PIPELINE]()
+        lane = (("crm", "goal_refund", 1.0),)  # a demotion-style lane, cheaper than any route
+        laned, plain = (START, "crm", "goal_refund"), (START, "crm", "razorpay", "email", "goal_refund")
+        a, b = base.fork(), base.fork()
         for g in (a, b):
             g.quarantine_node("stripe")
-        route = b.shortest_path(START, "goal_refund")
-        memo = b._routes
-        snapshot = dict(memo)
-        a.add_edge("crm", "goal_refund", 1.0)  # a demotion-style lane, cheaper than any route
-        assert a.shortest_path(START, "goal_refund").nodes == (START, "crm", "goal_refund")
-        assert a._routes is None
-        assert b.shortest_path(START, "goal_refund") == route
-        assert b._routes is memo and memo == snapshot
+        # A lane route never serves a lane-free question, nor the reverse,
+        # whichever is asked first.
+        assert b.shortest_path(START, "goal_refund").nodes == plain
+        assert a.shortest_path(START, "goal_refund", lane).nodes == laned
+        a.quarantine_node("sms")
+        assert a.shortest_path(START, "goal_refund", lane).nodes == laned
+        assert a.shortest_path(START, "goal_refund").nodes == plain
+        assert not a.has_edge("crm", "goal_refund") and not b.has_edge("crm", "goal_refund")
+        # A second fork reads the lane route from the memo.
+        computed = count_calls(monkeypatch, ToolGraph, "_search")
+        c = base.fork()
+        c.quarantine_node("stripe")
+        assert c.shortest_path(START, "goal_refund", lane) is c.shortest_path(START, "goal_refund", lane)
+        assert c.shortest_path(START, "goal_refund", lane).nodes == laned and computed[0] == 0
 
     def test_memo_is_capped(self):
         names = [f"n{i:02d}" for i in range(20)]
@@ -421,18 +439,17 @@ class TestRouteMemo:
         base, workers, errors = ring(), 4, []
 
         def work(seed: int) -> None:
-            rng, reference = random.Random(seed), ring()  # unforked: computes every route
+            rng = random.Random(seed)
             try:
                 for _ in range(300):
                     task, victims = base.fork(), rng.sample(names, rng.randint(0, 2))
+                    reference = ring()  # unforked: computes every route
                     for victim in victims:
                         task.quarantine_node(victim)
                         reference.quarantine_node(victim)
                     source, goal = rng.sample(names, 2)
                     assert task.shortest_path(source, goal) == reference.shortest_path(source, goal)
-                    for victim in victims:
-                        reference.restore_node(victim)
-            except AssertionError as exc:
+            except Exception as exc:  # a thread's error must fail the test, not vanish with the thread
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
@@ -458,6 +475,9 @@ class TestRouteMemo:
         g.shortest_path("a", "b")
         g.shortest_path("a", "b")
         assert g._routes is None and computed[0] == 2
+        g.add_node("c")  # stays writable
+        g.add_edge("b", "c", 1.0)
+        assert g.shortest_path("a", "c").nodes == ("a", "b", "c") and g._routes is None
         g.fork()
-        g.add_node("c")  # the first add after a fork copies the adjacency and drops the memo
-        assert g._routes is None
+        with pytest.raises(GraphError):
+            g.add_node("d")

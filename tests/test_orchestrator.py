@@ -6,14 +6,17 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toolrouter.bench import random_schedule
 from toolrouter.calibration import OutOfRange, SimClock
-from toolrouter.graph import ToolGraph
+from toolrouter.graph import BadLaneEdge, GraphError, ToolGraph
 from toolrouter import orchestrator
 from toolrouter.monitors import MonitorConfig, RequestContext, run_all_monitors
 from toolrouter.orchestrator import (
     DemotedGoal,
+    DemotionOption,
     Escalate,
     MalformedGoal,
     Outcome,
@@ -24,7 +27,16 @@ from toolrouter.orchestrator import (
     TraceStatus,
     execute_task,
 )
-from toolrouter.scenarios import HealthyInvoker, run_schedule, scenario_tool_states
+from toolrouter.scenarios import (
+    FaultEffect,
+    FaultEntry,
+    FaultSchedule,
+    HealthyInvoker,
+    ScheduledInvoker,
+    ScheduledProber,
+    run_schedule,
+    scenario_tool_states,
+)
 from toolrouter.topologies import START, TopologyKind, build_topology
 
 
@@ -111,7 +123,7 @@ class TestRecovery:
         assert trace.failure_recomputes == 1
         assert trace.llm_calls == 0
         assert [c.node for c in trace.tool_calls] == ["crm", "stripe", "razorpay", "email"]
-        assert graph.is_quarantined("stripe")
+        assert "stripe" in graph.quarantined
 
     def test_completed_work_is_never_redone(self):
         trace, _ = run_support(down={"email"})
@@ -432,3 +444,127 @@ class TestGeneratedRunInvariants:
         # change to trace semantics or to random_schedule must update this
         # value and say why.
         assert f"{digest:08x}" == "c1a66bce"
+
+
+class TestDemotionLanes:
+    def test_second_rung_routes_over_the_first_rungs_lane(self):
+        # b is down, so the goal is unroutable and the first rung's lane
+        # routes a -> c -> g1; c is down too.  The second rung's one edge
+        # leaves e, which only the first rung's lane reaches.
+        graph = ToolGraph()
+        for node in ("start", "goal", "g1", "g2"):
+            graph.add_node(node, sentinel=True)
+        for node in ("a", "b", "c", "e"):
+            graph.add_node(node)
+        for src, dst in (("start", "a"), ("a", "b"), ("b", "goal")):
+            graph.add_edge(src, dst, 1.0)
+        before = graph.to_json()
+        first = DemotionOption("first", "g1", (("a", "c", 1.0), ("c", "g1", 1.0), ("a", "e", 1.0)))
+        goal = TaskGoal("full", "goal", ladder=(first, DemotionOption("second", "g2", (("e", "g2", 1.0),))))
+        trace = execute_task(goal, graph, FixedInvoker({"b", "c"}), RuleReasoner(), SimClock(), TaskRequest(text="lanes"))
+        assert trace.status is TraceStatus.SUCCESS and trace.final_goal == "second"
+        assert [d["to"] for d in trace.demotions] == ["first", "second"]
+        assert [c.node for c in trace.tool_calls] == ["a", "b", "c", "e"]
+        assert trace.resolution["path"] == ["a", "e", "g2"]
+        assert graph.to_json() == before  # the lanes were searched over, never written
+        assert timeline_violations(trace) == []
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            ("crm", "ghost", 1.0),
+            ("crm", "crm", 1.0),
+            ("email", "store_credit", 0),
+            ("email", "store_credit", float("nan")),
+            ("email", "store_credit", float("inf")),
+            ("email", "store_credit", "x"),
+        ],
+        ids=["unknown_endpoint", "self_loop", "zero", "nan", "inf", "str"],
+    )
+    def test_bad_lane_edge_raises_naming_its_rung(self, edge):
+        rung = DemotionOption("issue_store_credit", "goal_store_credit", (edge,))
+        goal = TaskGoal("issue_refund", "goal_refund", ladder=(rung,))
+        with pytest.raises(BadLaneEdge) as raised:
+            run_support(down={"stripe", "razorpay"}, goal=goal)
+        assert isinstance(raised.value, GraphError)
+        assert "'issue_store_credit'" in str(raised.value) and repr(edge) in str(raised.value)
+
+    def test_lane_edge_between_linked_nodes_is_ignored(self):
+        # The graph's own crm -> store_credit wins, so the bad weight is never read.
+        rung = DemotionOption("issue_store_credit", "goal_store_credit", (("crm", "store_credit", "x"),))
+        trace, _ = run_support(down={"stripe", "razorpay"}, goal=TaskGoal("issue_refund", "goal_refund", ladder=(rung,)))
+        assert trace.status is TraceStatus.SUCCESS and trace.final_goal == "issue_store_credit"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_random_ladders_end_in_a_terminal_state(self, data):
+        """Random graphs with lane ladders, both fault effects (some
+        probe-visible), risky requests and a reasoner that escalates or
+        names a rung inside the ladder, outside it or already tried."""
+        tools = [f"t{i}" for i in range(data.draw(st.integers(1, 7), label="tools"))]
+        rungs = [f"r{i}" for i in range(data.draw(st.integers(0, 3), label="rungs"))]
+        sources, targets = ["start", *tools], [*tools, "goal", *(f"{r}_goal" for r in rungs)]
+        weight = st.sampled_from((0.5, 1.0, 2.0))
+
+        def edges(to=st.sampled_from(targets), **size):
+            edge = st.tuples(st.sampled_from(sources), to, weight).filter(lambda e: e[0] != e[1])
+            return st.lists(edge, **size)
+
+        base = ToolGraph()
+        for node in ("start", "goal", *(f"{r}_goal" for r in rungs)):
+            base.add_node(node, sentinel=True)
+        for node in tools:
+            base.add_node(node)
+        chain = ["start", *data.draw(st.permutations(tools), label="chain"), "goal"]  # one route, then detours
+        detours = data.draw(edges(min_size=len(tools), max_size=3 * len(tools)), label="detours")
+        for src, dst, w in [(a, b, 1.0) for a, b in zip(chain, chain[1:])] + detours:
+            if not base.has_edge(src, dst):
+                base.add_edge(src, dst, w)
+        lane = {r: edges(min_size=1, max_size=3) | edges(st.just(f"{r}_goal"), min_size=1, max_size=3) for r in rungs}
+        ladder = tuple(DemotionOption(r, f"{r}_goal", tuple(data.draw(lane[r], label="lane"))) for r in rungs)
+        goal = TaskGoal("goal", "goal", ladder=ladder)
+        graph = base.fork() if data.draw(st.booleans(), label="fork") else base
+        before = graph.to_json()
+        entries = [
+            FaultEntry(
+                tool,
+                data.draw(st.sampled_from(FaultEffect), label="effect"),
+                probe_visible=data.draw(st.booleans(), label="probe_visible"),
+                at_step=data.draw(st.integers(0, 4), label="at_step"),
+            )
+            for tool in data.draw(st.lists(st.sampled_from(tools), min_size=1, max_size=3, unique=True), label="down")
+        ]
+        schedule = FaultSchedule(tuple(entries))
+        amount = data.draw(st.sampled_from((None, None, 50_000.0)), label="amount")
+        request = TaskRequest(text="lanes", amount=amount, risk_visible_after=data.draw(st.integers(0, 3)))
+        verdicts = st.sampled_from(["escalate", "goal", "nowhere", *rungs, *rungs, *rungs])
+
+        class AdversarialReasoner:
+            calls = 0
+
+            def consult(self, query):
+                self.calls += 1
+                verdict = data.draw(verdicts, label="verdict")
+                return Escalate("adversary") if verdict == "escalate" else DemotedGoal(verdict)
+
+        invoker = ScheduledInvoker(schedule)
+        trace = execute_task(
+            goal,
+            graph,
+            invoker,
+            AdversarialReasoner(),
+            SimClock(),
+            request,
+            tool_states=scenario_tool_states(graph),
+            prober=ScheduledProber(schedule, invoker),
+        )
+        if trace.status is TraceStatus.SUCCESS:
+            path = trace.resolution["path"]
+            goal_nodes = {"goal": "goal", **{o.goal_id: o.goal_node for o in ladder}}
+            assert trace.resolution["kind"] == "completed" and path[-1] == goal_nodes[trace.final_goal]
+            lanes = {(s, d) for o in ladder for s, d, _ in o.extra_edges}
+            assert all(graph.has_edge(u, v) or (u, v) in lanes for u, v in zip(path, path[1:]))
+        else:
+            assert trace.status is TraceStatus.ESCALATED and trace.resolution["kind"] and trace.resolution["note"]
+        assert timeline_violations(trace) == []
+        assert graph.to_json() == before

@@ -1,9 +1,12 @@
-"""Every graph a topology hands out shares one adjacency, built once; what a
-task writes into its graph (quarantines, demotion lanes) stays there."""
+"""Every graph a topology hands out shares one frozen adjacency and route
+memo, built once; a task's quarantines stay in its own graph, and a
+demotion lane is an input of the task's searches, written into no graph."""
 
 from __future__ import annotations
 
+from toolrouter import graph as graph_module
 from toolrouter.calibration import SimClock
+from toolrouter.graph import ToolGraph
 from toolrouter.orchestrator import RuleReasoner, TaskRequest, TraceStatus, execute_task
 from toolrouter.scenarios import (
     FaultEffect,
@@ -13,7 +16,9 @@ from toolrouter.scenarios import (
     ScheduledProber,
     scenario_tool_states,
 )
-from toolrouter.topologies import START, TopologyKind, _travel_graph, build_topology
+from toolrouter.topologies import _GRAPHS, START, TopologyKind, _travel_graph, build_topology
+
+from conftest import count_calls
 
 
 def run(topo, graph, down):
@@ -32,17 +37,25 @@ def run(topo, graph, down):
     )
 
 
-def test_demoted_task_leaves_the_next_graph_untouched():
+def test_demoted_task_leaves_the_next_graph_untouched(monkeypatch):
+    monkeypatch.setattr(graph_module, "ROUTE_MEMO_ENTRIES", 10**6)  # the shared memo is not cleared mid-test
     topo = build_topology(TopologyKind.DEPENDENCY_DAG)
     lane = [(src, dst) for src, dst, _ in topo.goal.ladder[0].extra_edges]
+    down = ("hotel_primary", "hotel_backup")
     graph = topo.fresh_graph()
-    trace = run(topo, graph, down=("hotel_primary", "hotel_backup"))
+    trace = run(topo, graph, down)
     assert trace.status is TraceStatus.SUCCESS and trace.final_goal == "transport_only"
-    assert all(graph.has_edge(src, dst) for src, dst in lane)
-    assert graph.quarantined == {"hotel_primary", "hotel_backup"} and graph.search_count > 0
+    assert not any(graph.has_edge(src, dst) for src, dst in lane)
+    assert graph.quarantined == set(down) and graph.search_count > 0
+    assert _GRAPHS[TopologyKind.DEPENDENCY_DAG].to_json() == _travel_graph().to_json()
+
+    # A second demoted task reads every route, its demotion route too, from the memo.
+    computed = count_calls(monkeypatch, ToolGraph, "_search")
+    again = run(topo, topo.fresh_graph(), down)
+    assert again.to_json() == trace.to_json()
+    assert computed[0] == 0
 
     fresh = topo.fresh_graph()
-    assert not any(fresh.has_edge(src, dst) for src, dst in lane)
     assert fresh.quarantined == set() and fresh.search_count == 0
     assert fresh.to_json() == _travel_graph().to_json()
     assert run(topo, fresh, down=()).final_goal == "book_trip"
