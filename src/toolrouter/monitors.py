@@ -66,7 +66,10 @@ class RequestContext:
     ``amount`` / ``risk_score`` are the risk inputs as currently visible;
     scenarios may reveal them only after some steps complete.
     ``failed_tools`` carries tools whose most recent call just failed and
-    ``quarantined`` the nodes already routed around.
+    ``quarantined`` the nodes already routed around.  ``tool_states`` is
+    the task's live mapping, so a breaker is read as it stands at each
+    sweep; the orchestrator builds a snapshot once per change of the other
+    inputs and hands the same one to every sweep in between.
     """
 
     text: str

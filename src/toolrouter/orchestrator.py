@@ -12,6 +12,9 @@ demotion/handoff record.
 Monitors sweep before the initial route and before every step; failures
 additionally trigger an immediate sweep so that simultaneous outages
 detected together are quarantined as one batch with a single recompute.
+Every sweep runs the probes, the monitors and the competition, but the
+request snapshot they read is rebuilt only when one of its inputs changes:
+the risk inputs becoming visible, the failed batch, or the quarantine set.
 """
 
 from __future__ import annotations
@@ -68,11 +71,26 @@ class DemotionOption:
     """One rung of a goal's fallback ladder.  Once the rung is tried, its
     ``extra_edges`` join the lane that the task's later searches route over
     (``ToolGraph.shortest_path``); no graph is written, so fallback-only
-    routes never reach primary routing or another task."""
+    routes never reach primary routing or another task.  Every lane edge
+    must be a ``(src, dst, weight)`` tuple of two node ids and a number;
+    which nodes and weights are valid is checked when the lane is searched."""
 
     goal_id: str
     goal_node: str
     extra_edges: tuple[tuple[str, str, float], ...] = ()
+
+    def __post_init__(self):
+        if type(self.extra_edges) is not tuple:
+            raise BadLaneEdge(f"demotion rung {self.goal_id!r}: extra_edges must be a tuple, got {self.extra_edges!r}")
+        for edge in self.extra_edges:
+            if not (
+                type(edge) is tuple
+                and len(edge) == 3
+                and isinstance(edge[0], str)
+                and isinstance(edge[1], str)
+                and type(edge[2]) in (int, float)
+            ):
+                raise BadLaneEdge(f"demotion rung {self.goal_id!r}: lane edge {edge!r} must be (src, dst, weight)")
 
 
 @dataclass(frozen=True)
@@ -164,8 +182,6 @@ class ExecutionTrace:
     llm_calls: int = 0
     completed: set[str] = field(default_factory=set)
     demotions: list[dict] = field(default_factory=list)
-    null_routes: int = 0
-    risk_interrupts: int = 0
     quarantined: set[str] = field(default_factory=set)
     events: list[dict] = field(default_factory=list)
     final_goal: str = ""
@@ -227,8 +243,11 @@ def execute_task(
     goal_node = goal.goal_node
     ladder_index = 0  # ladder options before this index have been tried
     lane: tuple[tuple[str, str, float], ...] = ()  # extra_edges of every rung tried
+    ctx: RequestContext | None = None  # the last sweep's snapshot
+    ctx_inputs: tuple | None = None  # what it was built from
 
     def sweep(failed_batch: tuple[str, ...] = ()):
+        nonlocal ctx, ctx_inputs
         if prober is not None:
             opened = prober.scan(clock, states, attempts=len(trace.tool_calls))
             if opened:
@@ -238,14 +257,20 @@ def execute_task(
         # route whose only sentinels are its ends this counts the
         # successful tool calls so far.
         visible = len(trace.completed) >= request.risk_visible_after
-        ctx = RequestContext(
-            text=request.text,
-            amount=request.amount if visible else None,
-            risk_score=request.risk_score if visible else None,
-            tool_states=states,
-            failed_tools=failed_batch,
-            quarantined=frozenset(trace.quarantined),
-        )
+        # The text is fixed and ``states`` is one live mapping, so only these
+        # can change the snapshot; ``trace.quarantined`` only grows, so its
+        # size tells when it changed.
+        inputs = (visible, failed_batch, len(trace.quarantined))
+        if inputs != ctx_inputs:
+            ctx_inputs = inputs
+            ctx = RequestContext(
+                text=request.text,
+                amount=request.amount if visible else None,
+                risk_score=request.risk_score if visible else None,
+                tool_states=states,
+                failed_tools=failed_batch,
+                quarantined=frozenset(trace.quarantined),
+            )
         return compete(run_all_monitors(ctx, cfg))
 
     def alerts(winner) -> list[str]:
@@ -255,7 +280,6 @@ def execute_task(
         """A winning risk signal ends the run with one consult: risk wins
         only when a threshold flags the request."""
         if winner.source == "risk":
-            trace.risk_interrupts += 1
             consult("risk_escalation", f"risk flags {winner.payload['flags']}")
             return True
         return False
@@ -313,7 +337,6 @@ def execute_task(
                 trace.final_goal = option.goal_id
                 trace.log(clock.now, "demoted", goal=option.goal_id, path=list(route.nodes))
                 return route
-            trace.null_routes += 1
             trace.log(clock.now, "demotion_unroutable", goal=option.goal_id)
             kind, detail = "escalation", f"fallback goal {option.goal_id} unreachable from {position}"
         escalate("handoff" if kind == "demotion" else kind, note)
@@ -327,7 +350,6 @@ def execute_task(
         route = graph.shortest_path(position, goal_node, lane)
         trace.failure_recomputes += 1
         if route is None:
-            trace.null_routes += 1
             trace.log(clock.now, "route_exhausted", source=position, goal=goal_node)
             return consult("demotion", detail)
         trace.recovery_events += 1
@@ -346,7 +368,6 @@ def execute_task(
 
     path = graph.shortest_path(start, goal_node)
     if path is None:
-        trace.null_routes += 1
         trace.log(clock.now, "route_exhausted", source=start, goal=goal_node)
         path = consult("demotion", "no initial route")
         if path is None:

@@ -68,6 +68,14 @@ def run_support(request=None, down=(), reasoner=None, goal=None):
     return trace, graph
 
 
+NULL_ROUTE_EVENTS = ("route_exhausted", "demotion_unroutable")
+
+
+def events(trace, *kinds):
+    """The timeline events of the given kinds, in order."""
+    return [ev for ev in trace.events if ev["event"] in kinds]
+
+
 class TestHappyPath:
     def test_no_failures_no_reasoner(self):
         trace, _ = run_support()
@@ -173,13 +181,13 @@ class TestRecovery:
         trace, _ = run_support(down={"email", "sms"})
         assert trace.status is TraceStatus.ESCALATED
         assert trace.llm_calls == 2  # demotion proposal, then escalation
-        assert trace.null_routes >= 1
+        assert events(trace, *NULL_ROUTE_EVENTS)
 
     def test_reasoner_used_only_on_null_or_risk(self):
         for down in [set(), {"stripe"}, {"email"}, {"stripe", "razorpay"}, {"email", "sms"}]:
             trace, _ = run_support(down=down)
             if trace.llm_calls:
-                assert trace.null_routes > 0 or trace.risk_interrupts > 0
+                assert events(trace, *NULL_ROUTE_EVENTS) or trace.resolution["kind"] == "risk_escalation"
 
 
 class TestRiskInterrupt:
@@ -188,7 +196,7 @@ class TestRiskInterrupt:
         assert trace.status is TraceStatus.ESCALATED
         assert trace.llm_calls == 1
         assert trace.tool_call_count == 0
-        assert trace.risk_interrupts == 1
+        assert [ev["kind"] for ev in events(trace, "escalated")] == ["risk_escalation"]
 
     def test_revealed_amount_escalates_mid_task(self):
         req = TaskRequest(text="refund order 1", amount=50_000.0, risk_visible_after=2)
@@ -199,7 +207,7 @@ class TestRiskInterrupt:
     def test_small_amount_never_interrupts(self):
         trace, _ = run_support(request=TaskRequest(text="refund order 1", amount=10.0))
         assert trace.status is TraceStatus.SUCCESS
-        assert trace.risk_interrupts == 0
+        assert trace.llm_calls == 0
 
     def test_recovery_precedes_a_later_risk_interrupt(self):
         req = TaskRequest(text="refund order 1", amount=50_000.0, risk_visible_after=2)
@@ -210,6 +218,89 @@ class TestRiskInterrupt:
         assert trace.recovery_events == 1
         assert trace.status is TraceStatus.ESCALATED
         assert [c.node for c in trace.tool_calls] == ["crm", "stripe", "razorpay"]
+
+
+class TestSweepSnapshot:
+    """A sweep hands the monitors the last request snapshot until the
+    visible risk inputs, the failed batch or the quarantine set change."""
+
+    def test_run_without_failures_builds_one_snapshot(self, monkeypatch):
+        built, swept = [], []
+        real_monitors = orchestrator.run_all_monitors
+
+        def build(**fields):
+            built.append(RequestContext(**fields))
+            return built[-1]
+
+        def monitors(ctx, cfg):
+            swept.append(ctx)
+            return real_monitors(ctx, cfg)
+
+        monkeypatch.setattr(orchestrator, "RequestContext", build)
+        monkeypatch.setattr(orchestrator, "run_all_monitors", monitors)
+        trace, _ = run_support()
+        assert trace.status is TraceStatus.SUCCESS and trace.tool_call_count == 3
+        assert len(built) == 1
+        assert len(swept) == 5 and all(ctx is built[0] for ctx in swept)  # pre-route, three tools, the goal
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        kind=st.sampled_from(TopologyKind),
+        seed=st.integers(0, 2**32 - 1),
+        amount=st.sampled_from((None, 10.0, 50_000.0)),
+        risk_score=st.sampled_from((None, 0.1, 0.9)),
+        visible_after=st.integers(0, 4),
+    )
+    def test_every_sweep_sees_the_snapshot_a_fresh_build_would_give(self, kind, seed, amount, risk_score, visible_after):
+        topo = build_topology(kind)
+        schedule = random_schedule(kind, random.Random(seed))
+        request = TaskRequest("snapshot", amount, risk_score, visible_after)
+        graph = topo.fresh_graph()
+        states = scenario_tool_states(graph)
+        traces, mismatches, sweeps = [], [], 0
+        real_trace, real_monitors = orchestrator.ExecutionTrace, orchestrator.run_all_monitors
+
+        def new_trace(**fields):
+            traces.append(real_trace(**fields))
+            return traces[-1]
+
+        def monitors(ctx, cfg):
+            nonlocal sweeps
+            sweeps += 1
+            trace = traces[-1]
+            last = trace.tool_calls[-1] if trace.tool_calls else None
+            # Only the failure sweep sees a failed call whose batch is not yet quarantined.
+            failed = (last.node,) if last and not last.success and last.node not in trace.quarantined else ()
+            visible = len(trace.completed) >= visible_after
+            fresh = RequestContext(
+                text=request.text,
+                amount=amount if visible else None,
+                risk_score=risk_score if visible else None,
+                tool_states=states,
+                failed_tools=failed,
+                quarantined=frozenset(trace.quarantined),
+            )
+            if ctx != fresh:
+                mismatches.append((ctx, fresh))
+            return real_monitors(ctx, cfg)
+
+        invoker = ScheduledInvoker(schedule)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orchestrator, "ExecutionTrace", new_trace)
+            mp.setattr(orchestrator, "run_all_monitors", monitors)
+            trace = execute_task(
+                topo.goal,
+                graph,
+                invoker,
+                RuleReasoner(),
+                SimClock(),
+                request,
+                start=START,
+                tool_states=states,
+                prober=ScheduledProber(schedule, invoker),
+            )
+        assert trace is traces[0] and sweeps >= 1
+        assert mismatches == []
 
 
 class RecordingReasoner(RuleReasoner):
@@ -482,16 +573,29 @@ class TestDemotionLanes:
         ids=["unknown_endpoint", "self_loop", "zero", "nan", "inf", "str"],
     )
     def test_bad_lane_edge_raises_naming_its_rung(self, edge):
-        rung = DemotionOption("issue_store_credit", "goal_store_credit", (edge,))
-        goal = TaskGoal("issue_refund", "goal_refund", ladder=(rung,))
-        with pytest.raises(BadLaneEdge) as raised:
-            run_support(down={"stripe", "razorpay"}, goal=goal)
+        with pytest.raises(BadLaneEdge) as raised:  # a str weight when the rung is made, the rest when searched
+            rung = DemotionOption("issue_store_credit", "goal_store_credit", (edge,))
+            run_support(down={"stripe", "razorpay"}, goal=TaskGoal("issue_refund", "goal_refund", ladder=(rung,)))
         assert isinstance(raised.value, GraphError)
         assert "'issue_store_credit'" in str(raised.value) and repr(edge) in str(raised.value)
 
+    @pytest.mark.parametrize(
+        "edge",
+        [("crm", "store_credit"), (["crm"], "store_credit", 1.0), ("crm", "store_credit", [1.0])],
+        ids=["pair", "list_endpoint", "list_weight"],
+    )
+    def test_malformed_lane_edge_raises_when_the_rung_is_made(self, edge):
+        with pytest.raises(BadLaneEdge) as raised:
+            DemotionOption("issue_store_credit", "goal_store_credit", (edge,))
+        assert "'issue_store_credit'" in str(raised.value) and repr(edge) in str(raised.value)
+
+    def test_lane_given_as_a_list_raises_when_the_rung_is_made(self):
+        with pytest.raises(BadLaneEdge, match="'issue_store_credit'"):
+            DemotionOption("issue_store_credit", "goal_store_credit", [("crm", "store_credit", 1.0)])
+
     def test_lane_edge_between_linked_nodes_is_ignored(self):
         # The graph's own crm -> store_credit wins, so the bad weight is never read.
-        rung = DemotionOption("issue_store_credit", "goal_store_credit", (("crm", "store_credit", "x"),))
+        rung = DemotionOption("issue_store_credit", "goal_store_credit", (("crm", "store_credit", 0),))
         trace, _ = run_support(down={"stripe", "razorpay"}, goal=TaskGoal("issue_refund", "goal_refund", ladder=(rung,)))
         assert trace.status is TraceStatus.SUCCESS and trace.final_goal == "issue_store_credit"
 
