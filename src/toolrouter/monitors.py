@@ -1,11 +1,12 @@
 """Parallel health monitors and the priority competition.
 
-Three monitors (intent, risk, tool_health) each score the current request
-context from one fixed priority table; the orchestrator acts on the single
-highest-priority signal.  The only settings are the two risk thresholds
-(``MonitorConfig``).  Every monitor is a plain function of a read-only
-snapshot: keyword and threshold checks only, no model inference anywhere,
-so a sweep costs microseconds and is fully deterministic.
+Two monitors, tool_health (tool outages) and risk (risk signals), each
+score the current request context from one fixed priority table; the
+orchestrator acts on the single highest-priority signal.  The only settings
+are the two risk thresholds (``MonitorConfig``).  Every monitor is a plain
+function of a read-only snapshot: breaker and threshold checks only, no
+model inference anywhere, so a sweep costs microseconds and is fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -26,22 +27,16 @@ class EmptySignalSet(MonitorError):
 
 
 # Fixed tie-break order: earlier source wins on equal priority.
-SOURCE_ORDER = ("tool_health", "risk", "intent")
+SOURCE_ORDER = ("tool_health", "risk")
 _RANK = {source: rank for rank, source in enumerate(SOURCE_ORDER)}
 
 # The priority table.  A tool-health alert outbids everything, so an outage
-# is quarantined first; a flagged risk outbids any intent, so it escalates;
-# every idle signal loses to the intent fallback.
+# is quarantined first; a flagged risk outbids any idle signal, so it
+# escalates; with neither, idle tool_health wins and the sweep does nothing.
 TOOL_HEALTH_ALERT_PRIORITY = 0.99
 RISK_PRIORITY = 0.95
-INTENT_MATCH_PRIORITY = 0.90
-INTENT_FALLBACK_PRIORITY = 0.50
 TOOL_HEALTH_IDLE_PRIORITY = 0.10
 RISK_IDLE_PRIORITY = 0.05
-
-# (keyword, goal id) in keyword order: the first keyword found in the
-# request text names the intent.
-INTENT_KEYWORDS = (("book", "book_trip"), ("refund", "issue_refund"), ("review", "moderate_content"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,19 +64,15 @@ class RequestContext:
     ``quarantined`` the nodes already routed around.  ``tool_states`` is
     the task's live mapping, so a breaker is read as it stands at each
     sweep; the orchestrator builds a snapshot once per change of the other
-    inputs and hands the same one to every sweep in between.
+    inputs and hands the same one to every sweep in between.  It checks
+    nothing: the risk inputs are checked when the ``TaskRequest`` is made.
     """
 
-    text: str
     amount: float | None = None
     risk_score: float | None = None
     tool_states: Mapping[str, ToolState] = field(default_factory=dict)
     failed_tools: tuple[str, ...] = ()
     quarantined: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if self.amount is not None and self.amount < 0:
-            raise MonitorError("amount must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,6 +85,12 @@ class MonitorConfig:
     risk_score_threshold: float = 0.8
     risk_priority = RISK_PRIORITY  # a flagged request's priority; not a setting
 
+    def __post_init__(self):
+        for name in MonitorConfig.__dataclass_fields__:
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0.0 <= value:
+                raise MonitorError(f"monitor setting {name} must be a number >= 0, got {value!r}")
+
     @staticmethod
     def from_dict(doc: object) -> "MonitorConfig":
         if not isinstance(doc, dict):
@@ -101,9 +98,6 @@ class MonitorConfig:
         unknown = set(doc) - set(MonitorConfig.__dataclass_fields__)
         if unknown:
             raise MonitorError(f"unknown monitor settings {sorted(unknown)}")
-        for name, value in doc.items():
-            if type(value) not in (int, float) or not 0.0 <= value:
-                raise MonitorError(f"monitor setting {name} must be a number >= 0, got {value!r}")
         return MonitorConfig(**doc)
 
 
@@ -111,21 +105,8 @@ DEFAULT_MONITOR_CONFIG = MonitorConfig()
 
 # Signals that depend on nothing but the table are built once and shared by
 # every sweep, so their payloads are read-only mappings, with tuples for lists.
-_INTENTS = tuple(
-    (keyword, MonitorSignal("intent", INTENT_MATCH_PRIORITY, MappingProxyType({"intent": goal})))
-    for keyword, goal in INTENT_KEYWORDS
-)
-_IDLE_INTENT = MonitorSignal("intent", INTENT_FALLBACK_PRIORITY, MappingProxyType({"intent": None}))
 _IDLE_RISK = MonitorSignal("risk", RISK_IDLE_PRIORITY, MappingProxyType({"flags": ()}))
 _IDLE_TOOL_HEALTH = MonitorSignal("tool_health", TOOL_HEALTH_IDLE_PRIORITY, MappingProxyType({"tools": ()}))
-
-
-def _intent(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
-    lowered = ctx.text.lower()
-    for keyword, signal in _INTENTS:
-        if keyword in lowered:
-            return signal
-    return _IDLE_INTENT
 
 
 def _risk(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
@@ -149,7 +130,6 @@ def _tool_health(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
 
 
 _MONITORS = {
-    "intent": _intent,
     "risk": _risk,
     "tool_health": _tool_health,
 }

@@ -26,7 +26,7 @@ from typing import Mapping, Protocol
 
 from .calibration import SimClock, ToolState
 from .graph import BadLaneEdge, RoutePath, ToolGraph
-from .monitors import DEFAULT_MONITOR_CONFIG, MonitorConfig, RequestContext, compete, run_all_monitors
+from .monitors import DEFAULT_MONITOR_CONFIG, MonitorConfig, MonitorError, RequestContext, compete, run_all_monitors
 
 _MAX_LOOP = 10_000  # route passes before a run escalates as "loop_bound"
 
@@ -104,12 +104,22 @@ class TaskGoal:
 class TaskRequest:
     """The inbound request as the monitors will see it.  Risk inputs may be
     hidden until ``risk_visible_after`` tool steps have completed (e.g. an
-    order lookup reveals the amount)."""
+    order lookup reveals the amount).  No monitor or route reads the text.
+    A bad risk input raises ``MonitorError`` naming the field when the
+    request is made."""
 
     text: str
     amount: float | None = None
     risk_score: float | None = None
     risk_visible_after: int = 0
+
+    def __post_init__(self):
+        for name in ("amount", "risk_score"):
+            value = getattr(self, name)
+            if value is not None and (type(value) not in (int, float) or not value >= 0):
+                raise MonitorError(f"request {name} must be None or a number >= 0, got {value!r}")
+        if type(self.risk_visible_after) is not int or self.risk_visible_after < 0:
+            raise MonitorError(f"request risk_visible_after must be an integer >= 0, got {self.risk_visible_after!r}")
 
 
 @dataclass(frozen=True)
@@ -257,14 +267,13 @@ def execute_task(
         # route whose only sentinels are its ends this counts the
         # successful tool calls so far.
         visible = len(trace.completed) >= request.risk_visible_after
-        # The text is fixed and ``states`` is one live mapping, so only these
-        # can change the snapshot; ``trace.quarantined`` only grows, so its
-        # size tells when it changed.
+        # ``states`` is one live mapping, so only these can change the
+        # snapshot; ``trace.quarantined`` only grows, so its size tells when
+        # it changed.
         inputs = (visible, failed_batch, len(trace.quarantined))
         if inputs != ctx_inputs:
             ctx_inputs = inputs
             ctx = RequestContext(
-                text=request.text,
                 amount=request.amount if visible else None,
                 risk_score=request.risk_score if visible else None,
                 tool_states=states,

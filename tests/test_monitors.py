@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +20,7 @@ from toolrouter.monitors import (
     compete,
     run_all_monitors,
 )
-
-
-def ctx(**kw) -> RequestContext:
-    defaults = dict(text="please refund order 11")
-    defaults.update(kw)
-    return RequestContext(**defaults)
+from toolrouter.orchestrator import TaskRequest
 
 
 def open_breaker_state(tool: str) -> ToolState:
@@ -39,43 +35,46 @@ def by_source(signals):
 
 class TestRunAllMonitors:
     def test_high_value_refund_scores(self):
-        signals = by_source(run_all_monitors(ctx(amount=15_000.0)))
-        assert signals["risk"].priority == 0.95
-        assert signals["intent"].priority == 0.90
+        signals = run_all_monitors(RequestContext(amount=15_000.0))
+        assert by_source(signals)["risk"].priority == 0.95
+        assert by_source(signals)["tool_health"].priority == 0.10
+        assert compete(signals).source == "risk"
 
     def test_open_breaker_alerts_tool_health(self):
         states = {"stripe": open_breaker_state("stripe")}
-        signals = by_source(run_all_monitors(ctx(tool_states=states)))
+        signals = by_source(run_all_monitors(RequestContext(tool_states=states)))
         assert signals["tool_health"].priority == 0.99
         assert signals["tool_health"].payload["tools"] == ["stripe"]
 
     def test_routine_request_all_healthy(self):
-        signals = by_source(run_all_monitors(ctx(text="hello there")))
-        assert signals["intent"].priority == 0.50
-        assert signals["tool_health"].priority < signals["intent"].priority
+        # Nothing to act on: idle tool_health (0.10) outbids idle risk (0.05).
+        signals = run_all_monitors(RequestContext(amount=120.0))
+        assert by_source(signals)["risk"].priority == 0.05
+        winner = compete(signals)
+        assert (winner.source, winner.priority, winner.payload["tools"]) == ("tool_health", 0.10, ())
 
     def test_one_signal_per_monitor(self):
-        signals = run_all_monitors(ctx())
+        signals = run_all_monitors(RequestContext())
         assert [s.source for s in signals] == list(SOURCE_ORDER)
 
     def test_quarantined_tools_stop_alerting(self):
         states = {"stripe": open_breaker_state("stripe")}
-        signals = by_source(run_all_monitors(ctx(tool_states=states, quarantined=frozenset({"stripe"}))))
+        signals = by_source(run_all_monitors(RequestContext(tool_states=states, quarantined=frozenset({"stripe"}))))
         assert signals["tool_health"].priority == 0.10
 
     def test_failed_batch_alerts_even_with_closed_breaker(self):
         states = {"stripe": ToolState("stripe")}  # default threshold 3, still CLOSED
-        signals = by_source(run_all_monitors(ctx(tool_states=states, failed_tools=("stripe",))))
+        signals = by_source(run_all_monitors(RequestContext(tool_states=states, failed_tools=("stripe",))))
         assert signals["tool_health"].priority == 0.99
 
     def test_deterministic_over_repetition(self):
-        reference = run_all_monitors(ctx(amount=15_000.0))
+        reference = run_all_monitors(RequestContext(amount=15_000.0))
         for _ in range(1000):
-            assert run_all_monitors(ctx(amount=15_000.0)) == reference
+            assert run_all_monitors(RequestContext(amount=15_000.0)) == reference
 
     def test_evaluation_order_is_irrelevant(self):
         cfg = MonitorConfig()
-        snapshot = ctx(amount=15_000.0)
+        snapshot = RequestContext(amount=15_000.0)
         reference = by_source(run_all_monitors(snapshot, cfg))
         rng = random.Random(3)
         names = list(_MONITORS)
@@ -85,7 +84,7 @@ class TestRunAllMonitors:
             assert produced == reference
 
     def test_concurrent_evaluation_matches_sequential(self):
-        snapshot = ctx(amount=15_000.0)
+        snapshot = RequestContext(amount=15_000.0)
         sequential = run_all_monitors(snapshot)
         with ThreadPoolExecutor(max_workers=5) as pool:
             results = list(pool.map(lambda _: run_all_monitors(snapshot), range(32)))
@@ -93,25 +92,22 @@ class TestRunAllMonitors:
 
 
 class TestCompete:
-    def test_risk_outbids_intent(self):
-        signals = [MonitorSignal("intent", 0.90, {}), MonitorSignal("risk", 0.95, {})]
+    def test_risk_outbids_idle_tool_health(self):
+        signals = [MonitorSignal("tool_health", 0.10, {}), MonitorSignal("risk", 0.95, {})]
         assert compete(signals).source == "risk"
 
     def test_singleton(self):
-        only = MonitorSignal("intent", 0.2, {})
+        only = MonitorSignal("risk", 0.2, {})
         assert compete([only]) is only
 
-    def test_tool_health_outbids_routine_intent(self):
-        signals = [MonitorSignal("tool_health", 0.99, {}), MonitorSignal("intent", 0.50, {})]
+    def test_tool_health_alert_outbids_risk(self):
+        signals = [MonitorSignal("risk", 0.95, {}), MonitorSignal("tool_health", 0.99, {})]
         assert compete(signals).source == "tool_health"
 
     def test_ties_resolve_by_source_order(self):
-        signals = [
-            MonitorSignal("intent", 0.5, {}),
-            MonitorSignal("risk", 0.5, {}),
-            MonitorSignal("tool_health", 0.4, {}),
-        ]
-        assert compete(signals).source == "risk"
+        signals = [MonitorSignal("risk", 0.5, {}), MonitorSignal("tool_health", 0.5, {})]
+        assert compete(signals).source == "tool_health"
+        assert compete(signals[::-1]).source == "tool_health"
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySignalSet):
@@ -129,22 +125,22 @@ class TestCompete:
 
 class TestRiskThreshold:
     @pytest.mark.parametrize("amount", [10_000.0, 10_001.0, 250_000.0])
-    def test_at_or_above_threshold_beats_intent(self, amount):
-        signals = by_source(run_all_monitors(ctx(amount=amount)))
-        assert signals["risk"].priority > signals["intent"].priority
+    def test_at_or_above_threshold_wins(self, amount):
+        winner = compete(run_all_monitors(RequestContext(amount=amount)))
+        assert (winner.source, winner.priority) == ("risk", 0.95)
 
     @pytest.mark.parametrize("amount", [0.0, 120.0, 9_999.99])
-    def test_below_threshold_loses_to_intent(self, amount):
-        signals = by_source(run_all_monitors(ctx(amount=amount)))
-        assert signals["risk"].priority < signals["intent"].priority
+    def test_below_threshold_loses_to_idle_tool_health(self, amount):
+        winner = compete(run_all_monitors(RequestContext(amount=amount)))
+        assert (winner.source, winner.priority) == ("tool_health", 0.10)
 
     def test_score_channel(self):
-        signals = by_source(run_all_monitors(ctx(risk_score=0.97)))
+        signals = by_source(run_all_monitors(RequestContext(risk_score=0.97)))
         assert signals["risk"].priority == 0.95
 
     def test_configurable_threshold(self):
         cfg = MonitorConfig(risk_amount_threshold=2000.0)
-        signals = by_source(run_all_monitors(ctx(amount=2600.0), cfg))
+        signals = by_source(run_all_monitors(RequestContext(amount=2600.0), cfg))
         assert signals["risk"].priority == 0.95
 
 
@@ -158,8 +154,9 @@ class TestValidation:
             MonitorSignal("llm", 0.5, {})
 
     def test_negative_amount_rejected(self):
-        with pytest.raises(MonitorError):
-            ctx(amount=-5.0)
+        # The request is checked when it is made, not by the snapshot.
+        with pytest.raises(MonitorError, match="amount"):
+            TaskRequest("refund", amount=-5.0)
 
     def test_config_from_dict(self):
         cfg = MonitorConfig.from_dict({"risk_amount_threshold": 500.0})
@@ -198,12 +195,21 @@ class TestValidation:
             with pytest.raises(MonitorError, match="risk_score_threshold must be a number >= 0"):
                 MonitorConfig.from_dict({"risk_score_threshold": bad})
 
+    @pytest.mark.parametrize("name", ["risk_amount_threshold", "risk_score_threshold"])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), "1", True, None])
+    def test_config_built_in_code_is_checked(self, name, bad):
+        # The same check as from_dict: a negative threshold flags every
+        # request, a NaN one never flags, a string fails mid-run.
+        with pytest.raises(MonitorError, match=f"monitor setting {name} must be a number >= 0"):
+            MonitorConfig(**{name: bad})
+        assert getattr(MonitorConfig(**{name: float("inf")}), name) == float("inf")
+
     def test_used_config_copies_and_pickles(self):
         cfg = MonitorConfig(risk_amount_threshold=500.0)
-        reference = run_all_monitors(ctx(), cfg)
+        reference = run_all_monitors(RequestContext(), cfg)
         for twin in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
             assert twin == cfg
-            assert run_all_monitors(ctx(), twin) == reference
+            assert run_all_monitors(RequestContext(), twin) == reference
 
     def test_monitors_have_no_reasoner_dependency(self):
         # Monitors must stay cheap: the module imports nothing that could
@@ -212,7 +218,7 @@ class TestValidation:
 
         import toolrouter.monitors as monitors_module
 
-        tree = ast.parse(open(monitors_module.__file__).read())
+        tree = ast.parse(Path(monitors_module.__file__).read_text())
         imported = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):

@@ -13,7 +13,7 @@ from toolrouter.bench import random_schedule
 from toolrouter.calibration import OutOfRange, SimClock
 from toolrouter.graph import BadLaneEdge, GraphError, ToolGraph
 from toolrouter import orchestrator
-from toolrouter.monitors import MonitorConfig, RequestContext, run_all_monitors
+from toolrouter.monitors import MonitorConfig, MonitorError, RequestContext, run_all_monitors
 from toolrouter.orchestrator import (
     DemotedGoal,
     DemotionOption,
@@ -273,7 +273,6 @@ class TestSweepSnapshot:
             failed = (last.node,) if last and not last.success and last.node not in trace.quarantined else ()
             visible = len(trace.completed) >= visible_after
             fresh = RequestContext(
-                text=request.text,
                 amount=amount if visible else None,
                 risk_score=risk_score if visible else None,
                 tool_states=states,
@@ -301,6 +300,52 @@ class TestSweepSnapshot:
             )
         assert trace is traces[0] and sweeps >= 1
         assert mismatches == []
+
+
+class TestRequest:
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("amount", -5.0),
+            ("amount", float("nan")),
+            ("amount", True),
+            ("amount", "lots"),
+            ("risk_score", -3.0),
+            ("risk_score", float("nan")),
+            ("risk_score", False),
+            ("risk_score", "0.9"),
+            ("risk_visible_after", -1),
+            ("risk_visible_after", 1.0),
+            ("risk_visible_after", True),
+            ("risk_visible_after", None),
+        ],
+    )
+    def test_bad_value_fails_when_the_request_is_made(self, field, bad):
+        # Checked only when a sweep sees it, a negative amount hidden behind
+        # risk_visible_after would run to SUCCESS, a NaN would never flag and
+        # a string would raise a stray TypeError mid-run.
+        fields = {"amount": None, "risk_score": None, "risk_visible_after": 10, field: bad}
+        with pytest.raises(MonitorError, match=f"request {field} must be"):
+            TaskRequest("refund order 1", **fields)
+
+    def test_unbounded_risk_inputs_are_accepted(self):
+        request = TaskRequest("refund order 1", amount=float("inf"), risk_score=0, risk_visible_after=0)
+        trace, _ = run_support(request=request)
+        assert trace.status is TraceStatus.ESCALATED and trace.resolution["kind"] == "risk_escalation"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        kind=st.sampled_from(TopologyKind),
+        seed=st.integers(0, 2**32 - 1),
+        amount=st.sampled_from((None, 50_000.0)),
+        visible_after=st.integers(0, 4),
+        texts=st.lists(st.sampled_from(("refund", "book a trip", "review this", "", "réserver ✈ 予約")) | st.text(), min_size=2, max_size=4),
+    )
+    def test_text_never_changes_a_trace(self, kind, seed, amount, visible_after, texts):
+        topo = build_topology(kind)
+        schedule = random_schedule(kind, random.Random(seed))
+        traces = {run_schedule(topo, schedule, TaskRequest(text, amount, None, visible_after)).to_json() for text in texts}
+        assert len(traces) == 1
 
 
 class RecordingReasoner(RuleReasoner):
@@ -442,9 +487,9 @@ class TestTaskStateBelongsToTheTask:
             gc.enable()
 
     def test_signal_payload_writes_do_not_reach_later_sweeps(self):
-        # Idle and intent signals are built once at import and shared by
-        # every sweep, so writing into one must not reach the next.
-        ctx = RequestContext(text="refund order 5")
+        # Idle signals are built once at import and shared by every sweep,
+        # so writing into one must not reach the next.
+        ctx = RequestContext()
         expected = run_all_monitors(ctx, MonitorConfig())  # a config of its own
         before, _ = run_support(down={"stripe"})
         for signal in run_all_monitors(ctx):
@@ -533,8 +578,10 @@ class TestGeneratedRunInvariants:
         assert len(outcomes) >= 5
         # CRC-32 chained over the 300 trace JSONs, like the fixture pin: a
         # change to trace semantics or to random_schedule must update this
-        # value and say why.
-        assert f"{digest:08x}" == "c1a66bce"
+        # value and say why.  c1a66bce -> c4e818be: the intent monitor is
+        # gone, so an idle pre-route sweep logs tool_health 0.10 as its
+        # monitor_winner; no other line of any trace moved.
+        assert f"{digest:08x}" == "c4e818be"
 
 
 class TestDemotionLanes:
