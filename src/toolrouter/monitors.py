@@ -16,9 +16,10 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .calibration import BreakerPhase, ToolState
+from .errors import ToolrouterError
 
 
-class MonitorError(Exception):
+class MonitorError(ToolrouterError):
     pass
 
 

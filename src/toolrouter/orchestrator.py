@@ -25,13 +25,14 @@ from enum import Enum
 from typing import Mapping, Protocol
 
 from .calibration import SimClock, ToolState
+from .errors import ToolrouterError
 from .graph import BadLaneEdge, RoutePath, ToolGraph
 from .monitors import DEFAULT_MONITOR_CONFIG, MonitorConfig, MonitorError, RequestContext, compete, run_all_monitors
 
 _MAX_LOOP = 10_000  # route passes before a run escalates as "loop_bound"
 
 
-class OrchestratorError(Exception):
+class OrchestratorError(ToolrouterError):
     pass
 
 
@@ -192,7 +193,7 @@ class ExecutionTrace:
     llm_calls: int = 0
     completed: set[str] = field(default_factory=set)
     demotions: list[dict] = field(default_factory=list)
-    quarantined: set[str] = field(default_factory=set)
+    quarantined: frozenset[str] = frozenset()  # replaced, never written, on each quarantine batch
     events: list[dict] = field(default_factory=list)
     final_goal: str = ""
 
@@ -268,9 +269,9 @@ def execute_task(
         # successful tool calls so far.
         visible = len(trace.completed) >= request.risk_visible_after
         # ``states`` is one live mapping, so only these can change the
-        # snapshot; ``trace.quarantined`` only grows, so its size tells when
-        # it changed.
-        inputs = (visible, failed_batch, len(trace.quarantined))
+        # snapshot; ``trace.quarantined`` is a new frozenset after each
+        # quarantine batch, so the snapshot can hold it without a copy.
+        inputs = (visible, failed_batch, trace.quarantined)
         if inputs != ctx_inputs:
             ctx_inputs = inputs
             ctx = RequestContext(
@@ -278,7 +279,7 @@ def execute_task(
                 risk_score=request.risk_score if visible else None,
                 tool_states=states,
                 failed_tools=failed_batch,
-                quarantined=frozenset(trace.quarantined),
+                quarantined=trace.quarantined,
             )
         return compete(run_all_monitors(ctx, cfg))
 
@@ -294,9 +295,7 @@ def execute_task(
         return False
 
     def quarantine(nodes: list[str]) -> None:
-        for n in nodes:
-            graph.quarantine_node(n)
-            trace.quarantined.add(n)
+        trace.quarantined = trace.quarantined.union(nodes)
         trace.log(clock.now, "quarantine", tools=sorted(nodes))
 
     def escalate(kind: str, note: str) -> None:
@@ -308,9 +307,11 @@ def execute_task(
         """The one reasoner call site.  A demotion query answered with an
         untried rung of the ladder makes that rung the active goal and
         returns its route; a rung that is unroutable is followed by one
-        escalation query.  Every other verdict ends the run as ESCALATED
-        and returns None.  This loops rather than recursing: a recursive
-        closure would form a reference cycle that keeps the task's graph
+        escalation query.  Any other reply ends the run as ESCALATED and
+        returns None, as kind ``bad_reply`` unless it is a ``DemotedGoal``
+        or an ``Escalate`` with a non-empty ``str`` note; a reasoner's
+        exception propagates.  This loops rather than recursing: a recursive
+        closure would form a reference cycle that keeps the task's state
         alive until a garbage collection.  A bad lane edge is first searched
         over, so raised, by the demotion search of the rung that brought it."""
         nonlocal goal_node, ladder_index, lane
@@ -324,8 +325,11 @@ def execute_task(
             )
             verdict = reasoner.consult(query)
             trace.llm_calls += 1
-            if isinstance(verdict, Escalate):
+            if isinstance(verdict, Escalate) and type(verdict.note) is str and verdict.note:
                 note = verdict.note
+                break
+            if not isinstance(verdict, DemotedGoal):
+                kind, note = "bad_reply", f"malformed reasoner reply of type {type(verdict).__name__}"
                 break
             if kind != "demotion":
                 note = f"unexpected demotion {verdict.goal_id}"
@@ -337,7 +341,7 @@ def execute_task(
             ladder_index = goal.ladder.index(option) + 1
             lane += option.extra_edges
             try:
-                route = graph.shortest_path(position, option.goal_node, lane)
+                route = graph.shortest_path(position, option.goal_node, lane, trace.quarantined)
             except BadLaneEdge as exc:
                 raise BadLaneEdge(f"demotion rung {option.goal_id!r}: {exc}") from None
             if route is not None:
@@ -356,7 +360,7 @@ def execute_task(
         last completed node, and on a null route consult once for a
         demotion.  Returns the route to resume on, or None once escalated."""
         quarantine(batch)
-        route = graph.shortest_path(position, goal_node, lane)
+        route = graph.shortest_path(position, goal_node, lane, trace.quarantined)
         trace.failure_recomputes += 1
         if route is None:
             trace.log(clock.now, "route_exhausted", source=position, goal=goal_node)
@@ -375,7 +379,7 @@ def execute_task(
     if alerts(winner):
         quarantine(alerts(winner))
 
-    path = graph.shortest_path(start, goal_node)
+    path = graph.shortest_path(start, goal_node, (), trace.quarantined)
     if path is None:
         trace.log(clock.now, "route_exhausted", source=start, goal=goal_node)
         path = consult("demotion", "no initial route")

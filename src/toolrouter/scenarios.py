@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .calibration import BreakerPhase, SimClock, ToolCalibration, ToolState
+from .errors import ToolrouterError
 from .graph import ToolGraph
 from .monitors import MonitorConfig, MonitorError
 from .orchestrator import (
@@ -52,7 +53,7 @@ TOOL_CALL_LATENCY_MS = 100.0
 PROBE_LATENCY_MS = 5.0
 
 
-class ScenarioError(Exception):
+class ScenarioError(ToolrouterError):
     pass
 
 
@@ -227,13 +228,6 @@ def _count(section: dict, key: str) -> int:
     return value
 
 
-def _amount(section: dict, key: str) -> float | None:
-    value = section.get(key)
-    if value is not None and (type(value) not in (int, float) or not value >= 0):
-        raise ValueError(f"{key} must be null or a number >= 0, got {value!r}")
-    return value
-
-
 def _object(value: object, name: str) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"{name} must be an object, got {type(value).__name__}")
@@ -304,12 +298,10 @@ def _parse_scenario(doc: dict) -> Scenario:
     req = _object(doc["request"], "request")
     if not isinstance(req["text"], str):
         raise TypeError(f"request text must be a string, got {type(req['text']).__name__}")
-    request = TaskRequest(
-        text=req["text"],
-        amount=_amount(req, "amount"),
-        risk_score=_amount(req, "risk_score"),
-        risk_visible_after=_count(req, "risk_visible_after"),
-    )
+    try:
+        request = TaskRequest(req["text"], req.get("amount"), req.get("risk_score"), req.get("risk_visible_after", 0))
+    except MonitorError as exc:  # the request's own check, not the monitor overrides'
+        raise ValueError(str(exc)) from exc
     monitor_config = MonitorConfig.from_dict(doc.get("monitor_overrides", {}))
     expected = _expected(doc["expected"])
     return Scenario(

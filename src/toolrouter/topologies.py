@@ -9,8 +9,8 @@ Fallback goals ("demotions") get their own goal markers.  Where a demoted
 goal needs routes the primary goal must never see (travel's skip-the-hotel
 lane), those edges live on the demotion option, and a task that tries it
 passes them to its searches as a lane; no graph is written.  Each
-topology's graph is built once, at import, by its builder in ``BUILDERS``;
-``Topology.fresh_graph`` hands every task a fork of it.
+topology's graph is built once, at import, by its builder in ``BUILDERS``
+and frozen; ``Topology.fresh_graph`` hands that one graph to every task.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ class Topology:
     required_outcomes: tuple[str, ...]
 
     def fresh_graph(self) -> ToolGraph:
-        """A graph for one task: a fork of the topology's graph, built and
-        validated once.  Every fork shares its frozen adjacency and route
-        memo, and has its own quarantine set (see ``ToolGraph.fork``)."""
-        return _GRAPHS[self.kind].fork()
+        """The topology's graph, built once and frozen, shared by every
+        task with its route memo.  A task keeps its quarantined nodes
+        itself and passes them to each search (``ToolGraph.shortest_path``)."""
+        return _GRAPHS[self.kind]
 
 
 def _support_graph() -> ToolGraph:
@@ -115,7 +115,7 @@ BUILDERS = {
     TopologyKind.DEPENDENCY_DAG: _travel_graph,
     TopologyKind.PARALLEL_FANOUT: _moderation_graph,
 }
-_GRAPHS = {kind: build() for kind, build in BUILDERS.items()}
+_GRAPHS = {kind: build().freeze() for kind, build in BUILDERS.items()}
 
 # Fallback lane for "book what we can without lodging": flight connects
 # straight to the car stage, and the car stage closes out the demoted goal.

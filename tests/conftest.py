@@ -17,9 +17,9 @@ def count_calls(monkeypatch, owner: type, name: str) -> list[int]:
     calls = [0]
     fn = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls

@@ -129,9 +129,7 @@ class TestC3FigureFourCosts:
         g = build_topology(TopologyKind.LINEAR_PIPELINE).fresh_graph()
         healthy = g.shortest_path(START, "goal_refund")
         assert healthy.total_cost == 4.0
-        g.quarantine_node("stripe")
-        g.quarantine_node("email")
-        rerouted = g.shortest_path(START, "goal_refund")
+        rerouted = g.shortest_path(START, "goal_refund", (), frozenset({"stripe", "email"}))
         assert rerouted.total_cost == 6.0
         assert {"razorpay", "sms"} <= set(rerouted.nodes)
         note("C3 pipeline costs: PASS (4.0 healthy, 6.0 after stripe+email quarantine)")

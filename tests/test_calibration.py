@@ -190,3 +190,26 @@ class TestConfig:
             state.extra = 1
         with pytest.raises(AttributeError):
             state.breaker.extra = 1
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("trip_threshold", "3"),
+            ("trip_threshold", 0),
+            ("trip_threshold", -2),
+            ("trip_threshold", True),
+            ("trip_threshold", 2.0),
+            ("cooldown_ms", "10"),
+            ("cooldown_ms", -1),
+            ("cooldown_ms", float("nan")),
+            ("cooldown_ms", float("inf")),
+            ("cooldown_ms", True),
+        ],
+    )
+    def test_calibration_checks_its_fields_when_made(self, field, bad):
+        with pytest.raises(OutOfRange, match=f"^{field} must be"):
+            ToolCalibration(**{field: bad})
+
+    def test_calibration_accepts_its_limits(self):
+        assert ToolCalibration(trip_threshold=1, cooldown_ms=0) == ToolCalibration(1, 0)
+        assert ToolCalibration(cooldown_ms=2.5).cooldown_ms == 2.5

@@ -131,7 +131,7 @@ class TestRecovery:
         assert trace.failure_recomputes == 1
         assert trace.llm_calls == 0
         assert [c.node for c in trace.tool_calls] == ["crm", "stripe", "razorpay", "email"]
-        assert "stripe" in graph.quarantined
+        assert trace.quarantined == {"stripe"} and graph.quarantined == set()  # the task's, not the shared graph's
 
     def test_completed_work_is_never_redone(self):
         trace, _ = run_support(down={"email"})
@@ -427,6 +427,29 @@ class TestReasonerContract:
         )
         assert trace.resolution["note"].startswith("escalating issue_store_credit")
 
+    @pytest.mark.parametrize(
+        "reply",
+        [None, 42, "issue_store_credit", Escalate(None), Escalate(123)],
+        ids=["none", "int", "str", "escalate_none", "escalate_int"],
+    )
+    def test_malformed_reply_escalates_as_bad_reply(self, reply):
+        class FixedReply:
+            calls = 0
+
+            def consult(self, query):
+                self.calls += 1
+                return reply
+
+        # a demotion query (no route left) and a risk escalation query
+        for run in (dict(down={"stripe", "razorpay"}), dict(request=TaskRequest(text="refund order 1", amount=50_000.0))):
+            reasoner = FixedReply()
+            trace, _ = run_support(reasoner=reasoner, **run)
+            assert trace.status is TraceStatus.ESCALATED
+            note = f"malformed reasoner reply of type {type(reply).__name__}"
+            assert trace.resolution == {"kind": "bad_reply", "note": note}
+            assert trace.llm_calls == reasoner.calls == 1 and not trace.demotions
+            assert trace.events[-1] == {"t_ms": trace.events[-1]["t_ms"], "event": "escalated", "kind": "bad_reply", "note": note}
+
 
 class TestBinaryObservability:
     def test_every_run_ends_success_or_escalated(self):
@@ -474,7 +497,7 @@ class TestTaskStateBelongsToTheTask:
             assert [c.node for c in trace.tool_calls] == ["crm", "stripe", "email"]
 
     def test_finished_task_leaves_no_reference_cycles(self):
-        # A cycle would keep each task's graph and tool states alive until
+        # A cycle would keep each task's trace and tool states alive until
         # the next garbage collection.
         gc.collect()
         gc.disable()
@@ -651,7 +674,8 @@ class TestDemotionLanes:
     def test_random_ladders_end_in_a_terminal_state(self, data):
         """Random graphs with lane ladders, both fault effects (some
         probe-visible), risky requests and a reasoner that escalates or
-        names a rung inside the ladder, outside it or already tried."""
+        names a rung inside the ladder, outside it or already tried, or
+        gives a malformed reply."""
         tools = [f"t{i}" for i in range(data.draw(st.integers(1, 7), label="tools"))]
         rungs = [f"r{i}" for i in range(data.draw(st.integers(0, 3), label="rungs"))]
         sources, targets = ["start", *tools], [*tools, "goal", *(f"{r}_goal" for r in rungs)]
@@ -674,7 +698,7 @@ class TestDemotionLanes:
         lane = {r: edges(min_size=1, max_size=3) | edges(st.just(f"{r}_goal"), min_size=1, max_size=3) for r in rungs}
         ladder = tuple(DemotionOption(r, f"{r}_goal", tuple(data.draw(lane[r], label="lane"))) for r in rungs)
         goal = TaskGoal("goal", "goal", ladder=ladder)
-        graph = base.fork() if data.draw(st.booleans(), label="fork") else base
+        graph = base.freeze() if data.draw(st.booleans(), label="frozen") else base
         before = graph.to_json()
         entries = [
             FaultEntry(
@@ -688,7 +712,8 @@ class TestDemotionLanes:
         schedule = FaultSchedule(tuple(entries))
         amount = data.draw(st.sampled_from((None, None, 50_000.0)), label="amount")
         request = TaskRequest(text="lanes", amount=amount, risk_visible_after=data.draw(st.integers(0, 3)))
-        verdicts = st.sampled_from(["escalate", "goal", "nowhere", *rungs, *rungs, *rungs])
+        verdicts = st.sampled_from(["escalate", "malformed", "goal", "nowhere", *rungs, *rungs, *rungs])
+        malformed = st.sampled_from((None, "goal", Escalate(None), Escalate("")))
 
         class AdversarialReasoner:
             calls = 0
@@ -696,6 +721,8 @@ class TestDemotionLanes:
             def consult(self, query):
                 self.calls += 1
                 verdict = data.draw(verdicts, label="verdict")
+                if verdict == "malformed":
+                    return data.draw(malformed, label="reply")
                 return Escalate("adversary") if verdict == "escalate" else DemotedGoal(verdict)
 
         invoker = ScheduledInvoker(schedule)
@@ -718,4 +745,4 @@ class TestDemotionLanes:
         else:
             assert trace.status is TraceStatus.ESCALATED and trace.resolution["kind"] and trace.resolution["note"]
         assert timeline_violations(trace) == []
-        assert graph.to_json() == before
+        assert graph.to_json() == before and graph.quarantined == set()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import toolrouter.scenarios as scenarios_mod
 from toolrouter.calibration import BreakerPhase, SimClock, ToolCalibration, ToolState
+from toolrouter.graph import GraphError
 from toolrouter.monitors import MonitorError
 from toolrouter.orchestrator import Outcome, TraceStatus
 from toolrouter.scenarios import (
@@ -29,7 +30,7 @@ from toolrouter.scenarios import (
     run_self_healing,
     scenario_tool_states,
 )
-from toolrouter.topologies import START, TopologyKind, build_topology
+from toolrouter.topologies import BUILDERS, START, TopologyKind, build_topology
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,18 @@ class TestLoading:
         assert isinstance(err.value.__cause__, MonitorError)
 
     @pytest.mark.parametrize(
+        "field, bad", [("amount", "lots"), ("risk_score", -1), ("risk_visible_after", 1.5), ("risk_visible_after", True)]
+    )
+    def test_bad_request_value_names_the_request_field(self, tmp_path, field, bad):
+        self._copy_fixtures(tmp_path)
+        doc = json.loads((tmp_path / "S2.json").read_text())
+        doc["request"][field] = bad
+        (tmp_path / "S2.json").write_text(json.dumps(doc))
+        with pytest.raises(FixtureCorrupt, match=f"^S2: request {field} must be ") as err:
+            load_scenarios(override_dir=tmp_path)
+        assert "monitor_overrides" not in str(err.value)
+
+    @pytest.mark.parametrize(
         "corrupt, names",
         [
             (lambda doc: doc["faults"][0].update(effect="DOWN_LATER"), "'DOWN_LATER' is not a valid FaultEffect"),
@@ -117,10 +130,10 @@ class TestLoading:
             (lambda doc: doc.update(topology="ring"), "'ring' is not a valid TopologyKind"),
             (lambda doc: doc.update(request="text"), "request must be an object, got str"),
             (lambda doc: doc["request"].update(text=5), "request text must be a string, got int"),
-            (lambda doc: doc["request"].update(amount="lots"), "amount must be null or a number >= 0, got 'lots'"),
-            (lambda doc: doc["request"].update(amount=-5), "amount must be null or a number >= 0, got -5"),
-            (lambda doc: doc["request"].update(amount=True), "amount must be null or a number >= 0, got True"),
-            (lambda doc: doc["request"].update(risk_score="high"), "risk_score must be null or a number >= 0, got 'high'"),
+            (lambda doc: doc["request"].update(amount="lots"), "request amount must be None or a number >= 0, got 'lots'"),
+            (lambda doc: doc["request"].update(amount=-5), "request amount must be None or a number >= 0, got -5"),
+            (lambda doc: doc["request"].update(amount=True), "request amount must be None or a number >= 0, got True"),
+            (lambda doc: doc["request"].update(risk_score="high"), "request risk_score must be None or a number >= 0, got 'high'"),
             (lambda doc: doc.update(faults=["stripe"]), "faults[0] must be an object, got str"),
             (lambda doc: doc["faults"][0].update(tool="warp_drive"), "fault entry references unknown tool 'warp_drive'"),
             (lambda doc: doc["faults"][0].update(tool=["stripe"]), "faults[0].tool must be a string, got list"),
@@ -161,9 +174,7 @@ class TestTopologies:
     def test_linear_pipeline_costs(self):
         g = build_topology(TopologyKind.LINEAR_PIPELINE).fresh_graph()
         assert g.shortest_path(START, "goal_refund").total_cost == pytest.approx(4.0)
-        g.quarantine_node("stripe")
-        g.quarantine_node("email")
-        path = g.shortest_path(START, "goal_refund")
+        path = g.shortest_path(START, "goal_refund", (), frozenset({"stripe", "email"}))
         assert path.total_cost == pytest.approx(6.0)
         assert {"razorpay", "sms"} <= set(path.nodes)
 
@@ -183,8 +194,7 @@ class TestTopologies:
 
     def test_fanout_survives_losing_the_image_classifier(self):
         g = build_topology(TopologyKind.PARALLEL_FANOUT).fresh_graph()
-        g.quarantine_node("image_classifier")
-        path = g.shortest_path(START, "goal_moderation")
+        path = g.shortest_path(START, "goal_moderation", (), frozenset({"image_classifier"}))
         assert path is not None
         assert path.nodes[1] in ("text_classifier", "history_classifier")
 
@@ -195,11 +205,13 @@ class TestTopologies:
         for src in sources:
             assert g.has_edge(src, "action_queue")
 
-    def test_fresh_graph_returns_independent_instances(self):
-        topo = build_topology(TopologyKind.LINEAR_PIPELINE)
-        a, b = topo.fresh_graph(), topo.fresh_graph()
-        a.quarantine_node("stripe")
-        assert "stripe" not in b.quarantined
+    def test_fresh_graph_returns_one_frozen_graph(self):
+        for kind, build in BUILDERS.items():
+            topo = build_topology(kind)
+            g = topo.fresh_graph()
+            assert g is topo.fresh_graph() and g.to_json() == build().to_json()
+            with pytest.raises(GraphError, match="frozen"):
+                g.quarantine_node(g.tool_nodes()[0])
 
 
 class TestFaultSchedules:

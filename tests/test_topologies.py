@@ -1,6 +1,6 @@
-"""Every graph a topology hands out shares one frozen adjacency and route
-memo, built once; a task's quarantines stay in its own graph, and a
-demotion lane is an input of the task's searches, written into no graph."""
+"""A topology hands every task its one graph, built once and frozen, with
+its route memo; a task's quarantine set and demotion lane are inputs of
+its searches, written into no graph."""
 
 from __future__ import annotations
 
@@ -43,11 +43,13 @@ def test_demoted_task_leaves_the_next_graph_untouched(monkeypatch):
     lane = [(src, dst) for src, dst, _ in topo.goal.ladder[0].extra_edges]
     down = ("hotel_primary", "hotel_backup")
     graph = topo.fresh_graph()
+    assert graph is topo.fresh_graph() is _GRAPHS[TopologyKind.DEPENDENCY_DAG]
+    searches = count_calls(monkeypatch, ToolGraph, "shortest_path")
     trace = run(topo, graph, down)
     assert trace.status is TraceStatus.SUCCESS and trace.final_goal == "transport_only"
+    assert trace.quarantined == set(down) and searches[0] > 0
     assert not any(graph.has_edge(src, dst) for src, dst in lane)
-    assert graph.quarantined == set(down) and graph.search_count > 0
-    assert _GRAPHS[TopologyKind.DEPENDENCY_DAG].to_json() == _travel_graph().to_json()
+    assert graph.quarantined == set() and graph.to_json() == _travel_graph().to_json()
 
     # A second demoted task reads every route, its demotion route too, from the memo.
     computed = count_calls(monkeypatch, ToolGraph, "_search")
@@ -55,8 +57,5 @@ def test_demoted_task_leaves_the_next_graph_untouched(monkeypatch):
     assert again.to_json() == trace.to_json()
     assert computed[0] == 0
 
-    fresh = topo.fresh_graph()
-    assert fresh.quarantined == set() and fresh.search_count == 0
-    assert fresh.to_json() == _travel_graph().to_json()
-    assert run(topo, fresh, down=()).final_goal == "book_trip"
+    assert run(topo, topo.fresh_graph(), down=()).final_goal == "book_trip"
 
