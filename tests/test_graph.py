@@ -348,6 +348,20 @@ class TestFreeze:
         assert base.to_json() == origin and "crm" not in base.sentinels and base.quarantined == set()
 
 
+class TestFork:
+    """Each task once searched its own fork; now every task searches the
+    topology's one frozen graph and passes its quarantine as ``blocked``, so
+    the next task must still find that graph clear of the last one's state."""
+
+    def test_fork_starts_clear_of_the_origin_task_state(self, support_graph):
+        origin = support_graph.to_json()
+        detour = support_graph.shortest_path(START, "goal_refund", blocked={"stripe"})
+        assert "stripe" not in detour.nodes and detour.total_cost == pytest.approx(6.0)
+        assert support_graph.quarantined == set() and support_graph.to_json() == origin
+        path = support_graph.shortest_path(START, "goal_refund")
+        assert path.nodes == (START, "crm", "stripe", "email", "goal_refund")
+
+
 class TestRouteMemo:
     def test_memo_hits_skip_the_search(self, monkeypatch):
         computed = count_calls(monkeypatch, ToolGraph, "_search")  # routes computed, not read from the memo
