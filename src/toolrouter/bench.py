@@ -134,14 +134,24 @@ class BenchResult:
         if not isinstance(doc, dict):
             raise ResultCorrupt("expected a JSON object")
         rows = [_parse_row(f"rows[{i}]", r) for i, r in enumerate(_member(doc, "rows", list))]
-        aggregates = _member(doc, "aggregates", dict)
-        for arch, agg in aggregates.items():
+        stored = _member(doc, "aggregates", dict)
+        for arch in stored:
             if arch not in ARCHITECTURES:
                 raise ResultCorrupt(f"aggregates: unknown architecture {arch!r}")
-            if not isinstance(agg, dict) or not _AGGREGATE_KEYS <= set(agg):
-                raise ResultCorrupt(f"aggregates.{arch} must be an object with keys {sorted(_AGGREGATE_KEYS)}")
+        for row in rows:
+            if row.arch not in stored:
+                raise ResultCorrupt(f"aggregates.{row.arch} is missing for an architecture with rows")
+        # Every aggregate is recomputed from the rows; a stored one must agree.
+        aggregates = _aggregate(rows, tuple(stored))
+        for arch, agg in aggregates.items():
+            if not isinstance(stored[arch], dict):
+                raise ResultCorrupt(f"aggregates.{arch} must be an object")
+            for key in sorted(set(agg).union(stored[arch])):
+                value = stored[arch].get(key)
+                if type(value) is not int or value != agg.get(key):
+                    raise ResultCorrupt(f"aggregates.{arch}.{key} is {value!r}, its rows give {agg.get(key)!r}")
         metadata = _member(doc, "metadata", dict)
-        return BenchResult(rows=rows, aggregates=deepcopy(aggregates), metadata=deepcopy(metadata))
+        return BenchResult(rows=rows, aggregates=aggregates, metadata=deepcopy(metadata))
 
     @staticmethod
     def from_json(text: str) -> "BenchResult":
@@ -159,7 +169,14 @@ class BenchResult:
 
 
 _ROW_FIELDS = {f.name for f in fields(BenchRow)}
-_AGGREGATE_KEYS = frozenset(("scenarios", "correct", "llm_calls", "tool_calls", "recoveries", "silent_failures"))
+# The row fields an aggregate is computed from, and the JSON type of each.
+_COUNTED_FIELDS = {
+    "correct": bool,
+    "llm_calls": int,
+    "tool_calls": int,
+    "recoveries": int,
+    "silent_failure": bool,
+}
 
 
 def _member(doc: dict, key: str, kind: type):
@@ -180,6 +197,10 @@ def _parse_row(where: str, doc: object) -> BenchRow:
         raise ResultCorrupt(f"{where}: unknown scenario {doc['scenario']!r}")
     if doc["arch"] not in ARCHITECTURES:
         raise ResultCorrupt(f"{where}: unknown architecture {doc['arch']!r}")
+    for name, kind in _COUNTED_FIELDS.items():
+        if type(doc[name]) is not kind:
+            wanted = "boolean" if kind is bool else "integer"
+            raise ResultCorrupt(f"{where}: {name} must be a JSON {wanted}, got {doc[name]!r}")
     return BenchRow(**doc)
 
 

@@ -2,11 +2,13 @@
 
 Two monitors, tool_health (tool outages) and risk (risk signals), each
 score the current request context from one fixed priority table; the
-orchestrator acts on the single highest-priority signal.  The only settings
-are the two risk thresholds (``MonitorConfig``).  Every monitor is a plain
-function of a read-only snapshot: breaker and threshold checks only, no
-model inference anywhere, so a sweep costs microseconds and is fully
-deterministic.
+orchestrator acts on the single highest-priority signal.  The monitors see
+only runtime state, open breakers and the visible risk inputs; a failed call
+is the router's own, and the orchestrator adds it to its failure sweep's
+quarantine batch.  The only settings are the two risk thresholds
+(``MonitorConfig``).  Every monitor is a plain function of a read-only
+snapshot: breaker and threshold checks only, no model inference anywhere,
+so a sweep costs microseconds and is fully deterministic.
 """
 
 from __future__ import annotations
@@ -61,18 +63,17 @@ class RequestContext:
 
     ``amount`` / ``risk_score`` are the risk inputs as currently visible;
     scenarios may reveal them only after some steps complete.
-    ``failed_tools`` carries tools whose most recent call just failed and
-    ``quarantined`` the nodes already routed around.  ``tool_states`` is
-    the task's live mapping, so a breaker is read as it stands at each
-    sweep; the orchestrator builds a snapshot once per change of the other
-    inputs and hands the same one to every sweep in between.  It checks
-    nothing: the risk inputs are checked when the ``TaskRequest`` is made.
+    ``quarantined`` holds the nodes already routed around.  ``tool_states``
+    is the task's live mapping, so a breaker is read as it stands at each
+    sweep; the orchestrator builds a snapshot once per change of the risk
+    visibility or the quarantine set and hands the same one to every sweep
+    in between.  It checks nothing: the risk inputs are checked when the
+    ``TaskRequest`` is made.
     """
 
     amount: float | None = None
     risk_score: float | None = None
     tool_states: Mapping[str, ToolState] = field(default_factory=dict)
-    failed_tools: tuple[str, ...] = ()
     quarantined: frozenset[str] = frozenset()
 
 
@@ -121,31 +122,24 @@ def _risk(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
     return _IDLE_RISK
 
 
-def _tool_health(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
-    down = [tool for tool, state in ctx.tool_states.items() if state.breaker.phase is BreakerPhase.OPEN]
-    if down or ctx.failed_tools:
-        alerts = sorted(set(ctx.failed_tools).union(down).difference(ctx.quarantined))
-        if alerts:
-            return MonitorSignal("tool_health", TOOL_HEALTH_ALERT_PRIORITY, {"tools": alerts})
+def _tool_health(ctx: RequestContext) -> MonitorSignal:
+    alerts = sorted(
+        tool
+        for tool, state in ctx.tool_states.items()
+        if state.breaker.phase is BreakerPhase.OPEN and tool not in ctx.quarantined
+    )
+    if alerts:
+        return MonitorSignal("tool_health", TOOL_HEALTH_ALERT_PRIORITY, {"tools": alerts})
     return _IDLE_TOOL_HEALTH
 
 
-_MONITORS = {
-    "risk": _risk,
-    "tool_health": _tool_health,
-}
-
-
 def run_all_monitors(ctx: RequestContext, cfg: MonitorConfig | None = None) -> list[MonitorSignal]:
-    """Evaluate every registered monitor against the snapshot.
+    """Evaluate both monitors against the snapshot.
 
-    Output is one signal per monitor in canonical source order regardless of
-    evaluation order; monitors are pure, so evaluating them concurrently or
-    in any permutation yields the same list.
+    Output is one signal per monitor in ``SOURCE_ORDER``; monitors are pure,
+    so evaluating them concurrently or in either order yields the same list.
     """
-    if cfg is None:
-        cfg = DEFAULT_MONITOR_CONFIG
-    return [_MONITORS[name](ctx, cfg) for name in SOURCE_ORDER]
+    return [_tool_health(ctx), _risk(ctx, cfg or DEFAULT_MONITOR_CONFIG)]
 
 
 def compete(signals: list[MonitorSignal]) -> MonitorSignal:

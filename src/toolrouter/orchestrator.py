@@ -9,17 +9,18 @@ monitor competition.  Every run terminates in exactly one of two states:
 SUCCESS with the executed route, or ESCALATED with an explicit
 demotion/handoff record.
 
-Monitors sweep before the initial route and before every step; failures
-additionally trigger an immediate sweep so that simultaneous outages
-detected together are quarantined as one batch with a single recompute.
-Every sweep runs the probes, the monitors and the competition, but the
-request snapshot they read is rebuilt only when one of its inputs changes:
-the risk inputs becoming visible, the failed batch, or the quarantine set.
+Monitors sweep before the initial route and before every step.  A failed
+call triggers an immediate sweep, and the failed tool joins the outages that
+sweep reports, so simultaneous outages are quarantined as one batch with a
+single recompute.  Every sweep runs the probes, the monitors and the
+competition, but the request snapshot they read is rebuilt only when its two
+inputs change: the risk inputs becoming visible, or the quarantine set.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Protocol
@@ -37,6 +38,10 @@ class OrchestratorError(ToolrouterError):
 
 
 class MalformedGoal(OrchestratorError):
+    pass
+
+
+class BadOutcome(OrchestratorError):
     pass
 
 
@@ -59,6 +64,25 @@ class Outcome:
 
 class ToolInvoker(Protocol):
     def invoke(self, node: str, clock: SimClock) -> Outcome: ...
+
+
+def _check_outcome(node: str, outcome: object) -> None:
+    """Raise ``BadOutcome`` naming the field unless an invoker's reply is an
+    ``Outcome`` whose ``success`` is a bool, whose ``latency_ms`` is a finite
+    int or float >= 0 and whose ``failure_kind`` is None or a str.  Checked
+    where the reply enters ``execute_task``, not when it is made: a
+    long_session task makes one per call."""
+    if not isinstance(outcome, Outcome):
+        raise BadOutcome(f"invoker reply for {node!r} must be an Outcome, got {type(outcome).__name__}")
+    if type(outcome.success) is not bool:
+        name, want = "success", "a bool"
+    elif type(outcome.latency_ms) not in (int, float) or not 0 <= outcome.latency_ms < math.inf:
+        name, want = "latency_ms", "a finite number >= 0"
+    elif outcome.failure_kind is not None and type(outcome.failure_kind) is not str:
+        name, want = "failure_kind", "None or a str"
+    else:
+        return
+    raise BadOutcome(f"invoker outcome for {node!r}: {name} must be {want}, got {getattr(outcome, name)!r}")
 
 
 class Prober(Protocol):
@@ -257,7 +281,7 @@ def execute_task(
     ctx: RequestContext | None = None  # the last sweep's snapshot
     ctx_inputs: tuple | None = None  # what it was built from
 
-    def sweep(failed_batch: tuple[str, ...] = ()):
+    def sweep():
         nonlocal ctx, ctx_inputs
         if prober is not None:
             opened = prober.scan(clock, states, attempts=len(trace.tool_calls))
@@ -271,14 +295,13 @@ def execute_task(
         # ``states`` is one live mapping, so only these can change the
         # snapshot; ``trace.quarantined`` is a new frozenset after each
         # quarantine batch, so the snapshot can hold it without a copy.
-        inputs = (visible, failed_batch, trace.quarantined)
+        inputs = (visible, trace.quarantined)
         if inputs != ctx_inputs:
             ctx_inputs = inputs
             ctx = RequestContext(
                 amount=request.amount if visible else None,
                 risk_score=request.risk_score if visible else None,
                 tool_states=states,
-                failed_tools=failed_batch,
                 quarantined=trace.quarantined,
             )
         return compete(run_all_monitors(ctx, cfg))
@@ -405,6 +428,7 @@ def execute_task(
                 break
             if node not in graph.sentinels:
                 outcome = invoker.invoke(node, clock)
+                _check_outcome(node, outcome)
                 clock.advance(outcome.latency_ms)
                 state = states.get(node)
                 if state is not None:
@@ -412,11 +436,13 @@ def execute_task(
                 trace.tool_calls.append(ToolCall(node, outcome.success, outcome.failure_kind, clock.now))
                 trace.log(clock.now, "tool_call", node=node, success=outcome.success, kind=outcome.failure_kind)
                 if not outcome.success:
-                    # The failure sweep sees the failed call plus anything the
-                    # probes found in the same pass; the whole batch is
-                    # quarantined before the single recompute.  With monitors
-                    # disabled or misconfigured the failure itself is the batch.
-                    batch = alerts(sweep(failed_batch=(node,))) or [node]
+                    # The failed call joins the outages its failure sweep
+                    # reports; the batch is quarantined before the single
+                    # recompute.  ``node`` is not yet quarantined, as every
+                    # quarantine ends the pass; risk cannot win, as a failed
+                    # call leaves visibility as it was and the sweep before
+                    # the call did not escalate.
+                    batch = sorted({node}.union(alerts(sweep())))
                     path = recover(batch, f"failure of {node} exhausted the route")
                     break
                 position = node

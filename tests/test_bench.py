@@ -169,10 +169,31 @@ class TestPersistence:
             (lambda doc: doc["rows"][1].pop("status"), "rows[1]: field 'status' is missing"),
             (lambda doc: doc["rows"][0].update(scenario="S99"), "rows[0]: unknown scenario 'S99'"),
             (lambda doc: doc["rows"].__setitem__(0, 7), "rows[0] must be a JSON object"),
+            (lambda doc: doc["rows"][0].update(llm_calls="9"), "rows[0]: llm_calls must be a JSON integer, got '9'"),
+            (lambda doc: doc["rows"][2].update(correct=1), "rows[2]: correct must be a JSON boolean, got 1"),
             (lambda doc: doc["aggregates"].update(shr=[]), "aggregates.shr must be an object"),
+            (lambda doc: doc["aggregates"]["shr"].update(llm_calls=999), "aggregates.shr.llm_calls is 999, its rows give 9"),
+            (lambda doc: doc["aggregates"]["static"].update(correct=16.0), "aggregates.static.correct is 16.0, its rows"),
+            (lambda doc: doc["aggregates"]["react"].pop("tool_calls"), "aggregates.react.tool_calls is None, its rows"),
+            (lambda doc: doc["aggregates"]["shr"].update(bogus=0), "aggregates.shr.bogus is 0, its rows give None"),
+            (lambda doc: doc["aggregates"].pop("react"), "aggregates.react is missing for an architecture with rows"),
             (lambda doc: doc.pop("metadata"), "'metadata' is missing"),
         ],
-        ids=["unknown_field", "missing_field", "unknown_scenario", "row_type", "aggregate", "metadata"],
+        ids=[
+            "unknown_field",
+            "missing_field",
+            "unknown_scenario",
+            "row_type",
+            "row_count_type",
+            "row_flag_type",
+            "aggregate",
+            "aggregate_value",
+            "aggregate_value_type",
+            "aggregate_key_missing",
+            "aggregate_key_unknown",
+            "aggregate_missing",
+            "metadata",
+        ],
     )
     def test_corrupt_result_names_the_field(self, result, tmp_path, corrupt, names):
         path = tmp_path / "result.json"

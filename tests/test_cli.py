@@ -122,10 +122,22 @@ class TestBench:
         assert main(["bench", "--save", str(path), "--out", str(tmp_path / "report.md")]) == 0
         doc = json.loads(path.read_text())
         row = next(r for r in doc["rows"] if r["scenario"] == "S2" and r["arch"] == "shr")
+        # The edit keeps the document whole: the aggregate follows its rows.
+        doc["aggregates"]["shr"]["llm_calls"] += 99 - row["llm_calls"]
         row["llm_calls"] = 99
         path.write_text(json.dumps(doc))
         assert main(["report", "--in", str(path), "--diff"]) == 1
         assert "S2/shr/llm_calls" in capsys.readouterr().out
+
+    def test_report_refuses_an_aggregate_its_rows_disagree_with(self, tmp_path, capsys):
+        path = tmp_path / "res.json"
+        assert main(["bench", "--save", str(path), "--out", str(tmp_path / "report.md")]) == 0
+        doc = json.loads(path.read_text())
+        doc["aggregates"]["shr"]["llm_calls"] = 999
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--in", str(path), "--diff"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: aggregates.shr.llm_calls is 999, its rows give 9\n"
 
     def test_fuzz_flag(self, capsys):
         assert main(["bench", "--scenario", "S1", "--arch", "shr", "--fuzz", "30"]) == 0

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toolrouter.bench import random_schedule
-from toolrouter.calibration import OutOfRange, SimClock
+from toolrouter.calibration import BreakerPhase, SimClock, ToolCalibration, ToolState
 from toolrouter.graph import BadLaneEdge, GraphError, ToolGraph
 from toolrouter import orchestrator
 from toolrouter.monitors import MonitorConfig, MonitorError, RequestContext, run_all_monitors
 from toolrouter.orchestrator import (
+    BadOutcome,
     DemotedGoal,
     DemotionOption,
     Escalate,
@@ -99,27 +100,71 @@ class TestHappyPath:
             )
 
 
+def run_replying(reply, clock):
+    """Run the support task with an invoker whose every reply is ``reply``."""
+
+    class Replying:
+        def invoke(self, node, _clock):
+            return reply
+
+    topo = build_topology(TopologyKind.LINEAR_PIPELINE)
+    graph = topo.fresh_graph()
+    return execute_task(
+        topo.goal,
+        graph,
+        Replying(),
+        RuleReasoner(),
+        clock,
+        TaskRequest(text="refund order 5"),
+        start=START,
+        tool_states=scenario_tool_states(graph),
+    )
+
+
 class TestInvokerLatency:
     @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
     def test_non_finite_latency_raises_a_typed_error(self, latency):
-        class NonFinite:
-            def invoke(self, node, clock):
-                return Outcome(True, latency)
-
-        topo = build_topology(TopologyKind.LINEAR_PIPELINE)
-        graph = topo.fresh_graph()
         clock = SimClock()
-        with pytest.raises(OutOfRange, match="delta_ms"):
-            execute_task(
-                topo.goal,
-                graph,
-                NonFinite(),
-                RuleReasoner(),
-                clock,
-                TaskRequest(text="refund order 5"),
-                start=START,
-                tool_states=scenario_tool_states(graph),
-            )
+        with pytest.raises(BadOutcome, match="'crm': latency_ms must be a finite number >= 0"):
+            run_replying(Outcome(True, latency), clock)
+        assert clock.now == 0
+
+
+class TestInvokerOutcome:
+    """An invoker's reply is checked where it enters ``execute_task``; a bad
+    one raises ``BadOutcome`` naming the node and the field before the clock
+    moves or a call is logged."""
+
+    @pytest.mark.parametrize(
+        "reply, names",
+        [
+            (None, "invoker reply for 'crm' must be an Outcome, got NoneType"),
+            ({"success": True}, "invoker reply for 'crm' must be an Outcome, got dict"),
+            (Outcome(success="no"), "'crm': success must be a bool, got 'no'"),
+            (Outcome(1), "'crm': success must be a bool, got 1"),
+            (Outcome(True, "5"), "'crm': latency_ms must be a finite number >= 0, got '5'"),
+            (Outcome(True, True), "'crm': latency_ms must be a finite number >= 0, got True"),
+            (Outcome(True, -1.0), "'crm': latency_ms must be a finite number >= 0, got -1.0"),
+            (Outcome(True, None), "'crm': latency_ms must be a finite number >= 0, got None"),
+            (Outcome(False, 100.0, 7), "'crm': failure_kind must be None or a str, got 7"),
+        ],
+        ids=[
+            "none",
+            "dict",
+            "success_str",
+            "success_int",
+            "latency_str",
+            "latency_bool",
+            "latency_negative",
+            "latency_none",
+            "failure_kind_int",
+        ],
+    )
+    def test_bad_outcome_raises_a_typed_error(self, reply, names):
+        clock = SimClock()
+        with pytest.raises(BadOutcome) as err:
+            run_replying(reply, clock)
+        assert names in str(err.value)
         assert clock.now == 0
 
 
@@ -132,6 +177,50 @@ class TestRecovery:
         assert trace.llm_calls == 0
         assert [c.node for c in trace.tool_calls] == ["crm", "stripe", "razorpay", "email"]
         assert trace.quarantined == {"stripe"} and graph.quarantined == set()  # the task's, not the shared graph's
+
+    def test_a_failed_call_joins_its_own_quarantine_batch(self):
+        # Default states trip after 3 failures, so one failed call leaves
+        # stripe's breaker CLOSED: the orchestrator, not tool_health, puts
+        # the failed call in the batch.
+        topo = build_topology(TopologyKind.LINEAR_PIPELINE)
+        graph = topo.fresh_graph()
+
+        def run(invoker, states, prober=None):
+            return execute_task(
+                topo.goal,
+                graph,
+                invoker,
+                RuleReasoner(),
+                SimClock(),
+                TaskRequest(text="refund order 5"),
+                start=START,
+                tool_states=states,
+                prober=prober,
+            )
+
+        states = {tool: ToolState(tool) for tool in graph.tool_nodes()}
+        trace = run(FixedInvoker({"stripe"}), states)
+        assert [ev["tools"] for ev in events(trace, "quarantine")] == [["stripe"]]
+        assert trace.failure_recomputes == 1 and trace.recovery_events == 1
+        assert states["stripe"].breaker.phase is BreakerPhase.CLOSED
+        assert trace.status is TraceStatus.SUCCESS
+
+        # An outage that a probe opens in that same failure sweep joins the batch.
+        schedule = FaultSchedule(
+            (
+                FaultEntry("stripe", FaultEffect.DOWN_FROM_START),
+                FaultEntry("email", FaultEffect.FAIL_AT_STEP, probe_visible=True, at_step=2),
+            )
+        )
+        states = {tool: ToolState(tool) for tool in graph.tool_nodes()}
+        states["email"] = ToolState("email", ToolCalibration(trip_threshold=1))
+        invoker = ScheduledInvoker(schedule)
+        trace = run(invoker, states, ScheduledProber(schedule, invoker))
+        assert [ev["tools"] for ev in events(trace, "probe_detected", "quarantine")] == [["email"], ["email", "stripe"]]
+        assert trace.failure_recomputes == 1 and trace.recovery_events == 1
+        assert states["stripe"].breaker.phase is BreakerPhase.CLOSED
+        assert [c.node for c in trace.tool_calls] == ["crm", "stripe", "razorpay", "sms"]
+        assert trace.status is TraceStatus.SUCCESS
 
     def test_completed_work_is_never_redone(self):
         trace, _ = run_support(down={"email"})
@@ -222,7 +311,7 @@ class TestRiskInterrupt:
 
 class TestSweepSnapshot:
     """A sweep hands the monitors the last request snapshot until the
-    visible risk inputs, the failed batch or the quarantine set change."""
+    visible risk inputs or the quarantine set change."""
 
     def test_run_without_failures_builds_one_snapshot(self, monkeypatch):
         built, swept = [], []
@@ -268,15 +357,11 @@ class TestSweepSnapshot:
             nonlocal sweeps
             sweeps += 1
             trace = traces[-1]
-            last = trace.tool_calls[-1] if trace.tool_calls else None
-            # Only the failure sweep sees a failed call whose batch is not yet quarantined.
-            failed = (last.node,) if last and not last.success and last.node not in trace.quarantined else ()
             visible = len(trace.completed) >= visible_after
             fresh = RequestContext(
                 amount=amount if visible else None,
                 risk_score=risk_score if visible else None,
                 tool_states=states,
-                failed_tools=failed,
                 quarantined=frozenset(trace.quarantined),
             )
             if ctx != fresh:
