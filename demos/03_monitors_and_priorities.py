@@ -6,11 +6,10 @@ breaker lookups only.  The risk thresholds are the only settings
 (MonitorConfig).
 """
 
-from toolrouter import RequestContext, SimClock, ToolCalibration, ToolState, compete, run_all_monitors
+from toolrouter import SimClock, ToolCalibration, ToolState, compete, run_all_monitors
 
 
-def show(title, ctx):
-    signals = run_all_monitors(ctx)
+def show(title, signals):
     winner = compete(signals)
     print(f"{title}")
     for s in signals:
@@ -20,15 +19,12 @@ def show(title, ctx):
 
 
 # A routine refund: nothing to act on, so idle tool health (0.10) leads.
-show("routine refund:", RequestContext(amount=120.0))
+show("routine refund:", run_all_monitors({}, amount=120.0))
 
 # A $15,000 refund: the risk detector (0.95) flags the amount.
-show("high-value refund:", RequestContext(amount=15_000.0))
+show("high-value refund:", run_all_monitors({}, amount=15_000.0))
 
 # An open circuit breaker: tool health (0.99) outbids everything.
 down = ToolState("stripe", ToolCalibration(trip_threshold=1))
 down.record_call(SimClock(), 100, False)
-show(
-    "payment provider down:",
-    RequestContext(tool_states={"stripe": down}),
-)
+show("payment provider down:", run_all_monitors({"stripe": down}))

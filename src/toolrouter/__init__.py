@@ -29,7 +29,7 @@ from .calibration import (
 )
 from .errors import ToolrouterError
 from .graph import INFINITE, Edge, RoutePath, ToolGraph
-from .monitors import MonitorConfig, MonitorSignal, RequestContext, compete, run_all_monitors
+from .monitors import MonitorConfig, MonitorSignal, compete, run_all_monitors
 from .orchestrator import (
     DemotionOption,
     ExecutionTrace,

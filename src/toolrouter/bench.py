@@ -133,7 +133,8 @@ class BenchResult:
     def from_dict(doc: object) -> "BenchResult":
         if not isinstance(doc, dict):
             raise ResultCorrupt("expected a JSON object")
-        rows = [_parse_row(f"rows[{i}]", r) for i, r in enumerate(_member(doc, "rows", list))]
+        domains = {s.id: s.domain for s in load_scenarios()}
+        rows = [_parse_row(f"rows[{i}]", r, domains) for i, r in enumerate(_member(doc, "rows", list))]
         stored = _member(doc, "aggregates", dict)
         for arch in stored:
             if arch not in ARCHITECTURES:
@@ -187,7 +188,8 @@ def _member(doc: dict, key: str, kind: type):
     return doc[key]
 
 
-def _parse_row(where: str, doc: object) -> BenchRow:
+def _parse_row(where: str, doc: object, domains: dict[str, str]) -> BenchRow:
+    """One saved row; ``domains`` maps each scenario id to its domain."""
     if not isinstance(doc, dict):
         raise ResultCorrupt(f"{where} must be a JSON object")
     odd = sorted(set(doc) ^ _ROW_FIELDS)
@@ -195,12 +197,20 @@ def _parse_row(where: str, doc: object) -> BenchRow:
         raise ResultCorrupt(f"{where}: field {odd[0]!r} is {'unknown' if odd[0] in doc else 'missing'}")
     if doc["scenario"] not in SCENARIO_IDS:
         raise ResultCorrupt(f"{where}: unknown scenario {doc['scenario']!r}")
+    domain = domains[doc["scenario"]]
+    if doc["domain"] != domain:
+        raise ResultCorrupt(f"{where}: domain must be {domain!r}, the domain of {doc['scenario']}, got {doc['domain']!r}")
     if doc["arch"] not in ARCHITECTURES:
         raise ResultCorrupt(f"{where}: unknown architecture {doc['arch']!r}")
     for name, kind in _COUNTED_FIELDS.items():
         if type(doc[name]) is not kind:
             wanted = "boolean" if kind is bool else "integer"
             raise ResultCorrupt(f"{where}: {name} must be a JSON {wanted}, got {doc[name]!r}")
+    if doc["status"] not in ("success", "escalated"):
+        raise ResultCorrupt(f"{where}: status must be 'success' or 'escalated', got {doc['status']!r}")
+    lost = doc["classifiers_lost"]
+    if lost is not None and (type(lost) is not int or lost < 0):
+        raise ResultCorrupt(f"{where}: classifiers_lost must be null or a JSON integer >= 0, got {lost!r}")
     return BenchRow(**doc)
 
 

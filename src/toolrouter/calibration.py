@@ -142,15 +142,16 @@ class ToolState:
     ``calibration.window_len_mean`` and demo 02, until the benchmark
     replaces that metric with a breaker count.
 
-    Without a ``config`` a state shares ``DEFAULT_CALIBRATION``.  States are
-    slotted: a task may make one per tool it touches.
+    ``config`` (``DEFAULT_CALIBRATION`` when omitted) gives the breaker its
+    trip threshold and cooldown; the state keeps no other reference to it.
+    States are slotted: a task may make one per tool it touches.
     """
 
-    __slots__ = ("tool", "config", "window", "breaker")
+    __slots__ = ("tool", "window", "breaker")
 
     def __init__(self, tool: str, config: ToolCalibration | None = None):
         self.tool = tool
-        self.config = config = config or DEFAULT_CALIBRATION
+        config = config or DEFAULT_CALIBRATION
         self.window: deque[int] = deque((), WINDOW_CAPACITY)  # positional: a keyword maxlen is several times slower to build
         self.breaker = BreakerState(BreakerPhase.CLOSED, 0, config.cooldown_ms, config.trip_threshold)
 

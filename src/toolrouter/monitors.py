@@ -1,19 +1,20 @@
 """Parallel health monitors and the priority competition.
 
 Two monitors, tool_health (tool outages) and risk (risk signals), each
-score the current request context from one fixed priority table; the
+score the runtime conditions from one fixed priority table; the
 orchestrator acts on the single highest-priority signal.  The monitors see
 only runtime state, open breakers and the visible risk inputs; a failed call
 is the router's own, and the orchestrator adds it to its failure sweep's
 quarantine batch.  The only settings are the two risk thresholds
-(``MonitorConfig``).  Every monitor is a plain function of a read-only
-snapshot: breaker and threshold checks only, no model inference anywhere,
-so a sweep costs microseconds and is fully deterministic.
+(``MonitorConfig``).  Every monitor is a plain function of the values it
+reads, passed as arguments: breaker and threshold checks only, no model
+inference anywhere, so a sweep costs microseconds and is fully
+deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -57,26 +58,6 @@ class MonitorSignal:
             raise MonitorError(f"unknown monitor source {self.source!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class RequestContext:
-    """Read-only snapshot handed to every monitor.
-
-    ``amount`` / ``risk_score`` are the risk inputs as currently visible;
-    scenarios may reveal them only after some steps complete.
-    ``quarantined`` holds the nodes already routed around.  ``tool_states``
-    is the task's live mapping, so a breaker is read as it stands at each
-    sweep; the orchestrator builds a snapshot once per change of the risk
-    visibility or the quarantine set and hands the same one to every sweep
-    in between.  It checks nothing: the risk inputs are checked when the
-    ``TaskRequest`` is made.
-    """
-
-    amount: float | None = None
-    risk_score: float | None = None
-    tool_states: Mapping[str, ToolState] = field(default_factory=dict)
-    quarantined: frozenset[str] = frozenset()
-
-
 @dataclass(frozen=True)
 class MonitorConfig:
     """The risk policy: a request whose visible amount or risk score reaches
@@ -111,35 +92,43 @@ _IDLE_RISK = MonitorSignal("risk", RISK_IDLE_PRIORITY, MappingProxyType({"flags"
 _IDLE_TOOL_HEALTH = MonitorSignal("tool_health", TOOL_HEALTH_IDLE_PRIORITY, MappingProxyType({"tools": ()}))
 
 
-def _risk(ctx: RequestContext, cfg: MonitorConfig) -> MonitorSignal:
+def _risk(amount: float | None, risk_score: float | None, cfg: MonitorConfig) -> MonitorSignal:
     flagged = []
-    if ctx.amount is not None and ctx.amount >= cfg.risk_amount_threshold:
-        flagged.append({"kind": "amount", "value": ctx.amount, "threshold": cfg.risk_amount_threshold})
-    if ctx.risk_score is not None and ctx.risk_score >= cfg.risk_score_threshold:
-        flagged.append({"kind": "score", "value": ctx.risk_score, "threshold": cfg.risk_score_threshold})
+    if amount is not None and amount >= cfg.risk_amount_threshold:
+        flagged.append({"kind": "amount", "value": amount, "threshold": cfg.risk_amount_threshold})
+    if risk_score is not None and risk_score >= cfg.risk_score_threshold:
+        flagged.append({"kind": "score", "value": risk_score, "threshold": cfg.risk_score_threshold})
     if flagged:
         return MonitorSignal("risk", RISK_PRIORITY, {"flags": flagged})
     return _IDLE_RISK
 
 
-def _tool_health(ctx: RequestContext) -> MonitorSignal:
+def _tool_health(tool_states: Mapping[str, ToolState], quarantined: frozenset[str]) -> MonitorSignal:
     alerts = sorted(
         tool
-        for tool, state in ctx.tool_states.items()
-        if state.breaker.phase is BreakerPhase.OPEN and tool not in ctx.quarantined
+        for tool, state in tool_states.items()
+        if state.breaker.phase is BreakerPhase.OPEN and tool not in quarantined
     )
     if alerts:
         return MonitorSignal("tool_health", TOOL_HEALTH_ALERT_PRIORITY, {"tools": alerts})
     return _IDLE_TOOL_HEALTH
 
 
-def run_all_monitors(ctx: RequestContext, cfg: MonitorConfig | None = None) -> list[MonitorSignal]:
-    """Evaluate both monitors against the snapshot.
+def run_all_monitors(
+    tool_states: Mapping[str, ToolState],
+    quarantined: frozenset[str] = frozenset(),
+    amount: float | None = None,
+    risk_score: float | None = None,
+    cfg: MonitorConfig | None = None,
+) -> list[MonitorSignal]:
+    """Evaluate both monitors on the live breakers, the nodes already
+    routed around and the risk inputs as currently visible (None while a
+    scenario hides them; they were checked when the ``TaskRequest`` was made).
 
     Output is one signal per monitor in ``SOURCE_ORDER``; monitors are pure,
     so evaluating them concurrently or in either order yields the same list.
     """
-    return [_tool_health(ctx), _risk(ctx, cfg or DEFAULT_MONITOR_CONFIG)]
+    return [_tool_health(tool_states, quarantined), _risk(amount, risk_score, cfg or DEFAULT_MONITOR_CONFIG)]
 
 
 def compete(signals: list[MonitorSignal]) -> MonitorSignal:

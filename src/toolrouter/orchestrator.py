@@ -13,8 +13,8 @@ Monitors sweep before the initial route and before every step.  A failed
 call triggers an immediate sweep, and the failed tool joins the outages that
 sweep reports, so simultaneous outages are quarantined as one batch with a
 single recompute.  Every sweep runs the probes, the monitors and the
-competition, but the request snapshot they read is rebuilt only when its two
-inputs change: the risk inputs becoming visible, or the quarantine set.
+competition; the monitors read the live breakers, the quarantine set and
+the risk inputs visible at that moment.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Mapping, Protocol
 from .calibration import SimClock, ToolState
 from .errors import ToolrouterError
 from .graph import BadLaneEdge, RoutePath, ToolGraph
-from .monitors import DEFAULT_MONITOR_CONFIG, MonitorConfig, MonitorError, RequestContext, compete, run_all_monitors
+from .monitors import DEFAULT_MONITOR_CONFIG, MonitorConfig, MonitorError, compete, run_all_monitors
 
 _MAX_LOOP = 10_000  # route passes before a run escalates as "loop_bound"
 
@@ -278,11 +278,8 @@ def execute_task(
     goal_node = goal.goal_node
     ladder_index = 0  # ladder options before this index have been tried
     lane: tuple[tuple[str, str, float], ...] = ()  # extra_edges of every rung tried
-    ctx: RequestContext | None = None  # the last sweep's snapshot
-    ctx_inputs: tuple | None = None  # what it was built from
 
     def sweep():
-        nonlocal ctx, ctx_inputs
         if prober is not None:
             opened = prober.scan(clock, states, attempts=len(trace.tool_calls))
             if opened:
@@ -291,20 +288,9 @@ def execute_task(
         # sentinel joins ``completed`` only after the last sweep, so on a
         # route whose only sentinels are its ends this counts the
         # successful tool calls so far.
-        visible = len(trace.completed) >= request.risk_visible_after
-        # ``states`` is one live mapping, so only these can change the
-        # snapshot; ``trace.quarantined`` is a new frozenset after each
-        # quarantine batch, so the snapshot can hold it without a copy.
-        inputs = (visible, trace.quarantined)
-        if inputs != ctx_inputs:
-            ctx_inputs = inputs
-            ctx = RequestContext(
-                amount=request.amount if visible else None,
-                risk_score=request.risk_score if visible else None,
-                tool_states=states,
-                quarantined=trace.quarantined,
-            )
-        return compete(run_all_monitors(ctx, cfg))
+        if len(trace.completed) >= request.risk_visible_after:
+            return compete(run_all_monitors(states, trace.quarantined, request.amount, request.risk_score, cfg))
+        return compete(run_all_monitors(states, trace.quarantined, None, None, cfg))
 
     def alerts(winner) -> list[str]:
         return winner.payload["tools"] if winner.source == "tool_health" else []

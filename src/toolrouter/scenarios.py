@@ -221,13 +221,6 @@ class Scenario:
         return self.topology.domain
 
 
-def _count(section: dict, key: str) -> int:
-    value = section.get(key, 0)
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
-    return value
-
-
 def _object(value: object, name: str) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"{name} must be an object, got {type(value).__name__}")
@@ -241,12 +234,39 @@ def _string(value: object, name: str) -> str:
 
 
 def _cell(section: dict, name: str, kind: type = int) -> int | bool:
-    """One required ``expected`` cell: an integer >= 0, or a boolean."""
+    """One required value: an integer >= 0, or a boolean."""
     value = section[name.rpartition(".")[2]]
     if type(value) is not kind or (kind is int and value < 0):
         wanted = "an integer >= 0" if kind is int else "a boolean"
         raise ValueError(f"{name} must be {wanted}, got {value!r}")
     return value
+
+
+def _choice(value: object, name: str, allowed: tuple[str, ...]) -> str:
+    if value not in allowed:  # a tuple, so an unhashable value compares unequal
+        raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+    return value
+
+
+_EFFECTS = tuple(effect.value for effect in FaultEffect)
+_FAULT_KINDS = ("timeout", "error_response", "connection_refused")
+
+
+def _fault(e: object, name: str) -> FaultEntry:
+    """One fault entry; ``at_step`` may appear only on FAIL_AT_STEP."""
+    e = _object(e, name)
+    tool = _string(e["tool"], f"{name}.tool")
+    effect = FaultEffect(_choice(e["effect"], f"{name}.effect", _EFFECTS))
+    at_step = _cell(e, f"{name}.at_step") if "at_step" in e else 0
+    if "at_step" in e and effect is not FaultEffect.FAIL_AT_STEP:
+        raise ValueError(f"{name}.at_step applies only to FAIL_AT_STEP, not {effect.value}")
+    return FaultEntry(
+        tool=tool,
+        effect=effect,
+        kind=_choice(e.get("kind", "error_response"), f"{name}.kind", _FAULT_KINDS),
+        probe_visible=_cell(e, f"{name}.probe_visible", bool) if "probe_visible" in e else False,
+        at_step=at_step,
+    )
 
 
 def _expected(exp: object) -> ExpectedCounts:
@@ -280,20 +300,7 @@ def _parse_scenario(doc: dict) -> Scenario:
     faults = doc.get("faults", [])
     if not isinstance(faults, list):
         raise TypeError(f"faults must be a list, got {type(faults).__name__}")
-    for i, e in enumerate(faults):
-        _object(e, f"faults[{i}]")
-        _string(e["tool"], f"faults[{i}].tool")
-    entries = tuple(
-        FaultEntry(
-            tool=e["tool"],
-            effect=FaultEffect(e["effect"]),
-            kind=e.get("kind", "error_response"),
-            probe_visible=bool(e.get("probe_visible", False)),
-            at_step=_count(e, "at_step"),
-        )
-        for e in faults
-    )
-    schedule = FaultSchedule(entries)
+    schedule = FaultSchedule(tuple(_fault(e, f"faults[{i}]") for i, e in enumerate(faults)))
     schedule.validate_against(topology.fresh_graph())
     req = _object(doc["request"], "request")
     if not isinstance(req["text"], str):
@@ -311,7 +318,7 @@ def _parse_scenario(doc: dict) -> Scenario:
         faults=schedule,
         request=request,
         monitor_config=monitor_config,
-        content_toxic=bool(req.get("content_toxic", False)),
+        content_toxic=_cell(req, "request.content_toxic", bool) if "content_toxic" in req else False,
         expected=expected,
         notes=doc.get("notes", ""),
     )
@@ -368,8 +375,8 @@ def scenario_tool_states(graph: ToolGraph) -> dict[str, ToolState]:
     made so far, which are the only ones whose breaker can be OPEN.  A task
     that calls ten tools of a 500-tool graph allocates ten states, not 500.
     The map copies no tool set: a lookup asks ``graph`` whether the key is
-    a tool (a declared node that is not a sentinel).  Every state shares
-    the frozen ``HARD_FAILURE`` calibration and has its own breaker.
+    a tool (a declared node that is not a sentinel).  Every state has its
+    own breaker, with the trip threshold and cooldown of ``HARD_FAILURE``.
     """
     return _StatesOnDemand(graph)
 

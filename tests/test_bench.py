@@ -178,6 +178,15 @@ class TestPersistence:
             (lambda doc: doc["aggregates"]["shr"].update(bogus=0), "aggregates.shr.bogus is 0, its rows give None"),
             (lambda doc: doc["aggregates"].pop("react"), "aggregates.react is missing for an architecture with rows"),
             (lambda doc: doc.pop("metadata"), "'metadata' is missing"),
+            (lambda doc: doc["rows"][0].update(domain=["x"]), "rows[0]: domain must be 'customer_support', the domain of S1, got ['x']"),
+            (lambda doc: doc["rows"][0].update(domain={"a": 1}), "rows[0]: domain must be 'customer_support', the domain of S1, got {'a': 1}"),
+            (lambda doc: doc["rows"][0].update(domain="x"), "rows[0]: domain must be 'customer_support', the domain of S1, got 'x'"),
+            (lambda doc: doc["rows"][0].update(domain="travel_booking"), "rows[0]: domain must be 'customer_support'"),
+            (lambda doc: doc["rows"][1].update(status="weird"), "rows[1]: status must be 'success' or 'escalated', got 'weird'"),
+            (lambda doc: doc["rows"][1].update(status=3), "rows[1]: status must be 'success' or 'escalated', got 3"),
+            (lambda doc: doc["rows"][2].update(classifiers_lost="x"), "rows[2]: classifiers_lost must be null or a JSON integer >= 0, got 'x'"),
+            (lambda doc: doc["rows"][2].update(classifiers_lost=-2), "rows[2]: classifiers_lost must be null or a JSON integer >= 0, got -2"),
+            (lambda doc: doc["rows"][2].update(classifiers_lost=True), "rows[2]: classifiers_lost must be null or a JSON integer >= 0, got True"),
         ],
         ids=[
             "unknown_field",
@@ -193,6 +202,15 @@ class TestPersistence:
             "aggregate_key_unknown",
             "aggregate_missing",
             "metadata",
+            "domain_array",
+            "domain_object",
+            "domain_unknown",
+            "domain_of_another_scenario",
+            "status_unknown",
+            "status_type",
+            "classifiers_lost_type",
+            "classifiers_lost_negative",
+            "classifiers_lost_bool",
         ],
     )
     def test_corrupt_result_names_the_field(self, result, tmp_path, corrupt, names):

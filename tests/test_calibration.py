@@ -179,7 +179,9 @@ class TestConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ToolCalibration(trip_threshold=1).cooldown_ms = 0
         a, b = ToolState("a"), ToolState("b")
-        assert a.config is b.config is DEFAULT_CALIBRATION
+        for state in (a, b):
+            breaker = state.breaker
+            assert (breaker.trip_threshold, breaker.cooldown_ms) == (DEFAULT_CALIBRATION.trip_threshold, DEFAULT_CALIBRATION.cooldown_ms)
         assert a.breaker is not b.breaker
         assert a.breaker == BreakerState(trip_threshold=3, cooldown_ms=10_000)
 

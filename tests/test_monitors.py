@@ -14,7 +14,6 @@ from toolrouter.monitors import (
     MonitorConfig,
     MonitorError,
     MonitorSignal,
-    RequestContext,
     _risk,
     _tool_health,
     compete,
@@ -35,52 +34,50 @@ def by_source(signals):
 
 class TestRunAllMonitors:
     def test_high_value_refund_scores(self):
-        signals = run_all_monitors(RequestContext(amount=15_000.0))
+        signals = run_all_monitors({}, amount=15_000.0)
         assert by_source(signals)["risk"].priority == 0.95
         assert by_source(signals)["tool_health"].priority == 0.10
         assert compete(signals).source == "risk"
 
     def test_open_breaker_alerts_tool_health(self):
         states = {"stripe": open_breaker_state("stripe")}
-        signals = by_source(run_all_monitors(RequestContext(tool_states=states)))
+        signals = by_source(run_all_monitors(states))
         assert signals["tool_health"].priority == 0.99
         assert signals["tool_health"].payload["tools"] == ["stripe"]
 
     def test_routine_request_all_healthy(self):
         # Nothing to act on: idle tool_health (0.10) outbids idle risk (0.05).
-        signals = run_all_monitors(RequestContext(amount=120.0))
+        signals = run_all_monitors({}, amount=120.0)
         assert by_source(signals)["risk"].priority == 0.05
         winner = compete(signals)
         assert (winner.source, winner.priority, winner.payload["tools"]) == ("tool_health", 0.10, ())
 
     def test_one_signal_per_monitor(self):
-        signals = run_all_monitors(RequestContext())
+        signals = run_all_monitors({})
         assert [s.source for s in signals] == list(SOURCE_ORDER)
 
     def test_quarantined_tools_stop_alerting(self):
         states = {"stripe": open_breaker_state("stripe")}
-        signals = by_source(run_all_monitors(RequestContext(tool_states=states, quarantined=frozenset({"stripe"}))))
+        signals = by_source(run_all_monitors(states, frozenset({"stripe"})))
         assert signals["tool_health"].priority == 0.10
 
     def test_deterministic_over_repetition(self):
-        reference = run_all_monitors(RequestContext(amount=15_000.0))
+        reference = run_all_monitors({}, amount=15_000.0)
         for _ in range(1000):
-            assert run_all_monitors(RequestContext(amount=15_000.0)) == reference
+            assert run_all_monitors({}, amount=15_000.0) == reference
 
     def test_evaluation_order_is_irrelevant(self):
         cfg = MonitorConfig()
-        snapshot = RequestContext(amount=15_000.0)
-        reference = by_source(run_all_monitors(snapshot, cfg))
-        monitors = {"tool_health": lambda: _tool_health(snapshot), "risk": lambda: _risk(snapshot, cfg)}
+        reference = by_source(run_all_monitors({}, amount=15_000.0, cfg=cfg))
+        monitors = {"tool_health": lambda: _tool_health({}, frozenset()), "risk": lambda: _risk(15_000.0, None, cfg)}
         for names in (SOURCE_ORDER, SOURCE_ORDER[::-1]):
             produced = {name: monitors[name]() for name in names}
             assert produced == reference
 
     def test_concurrent_evaluation_matches_sequential(self):
-        snapshot = RequestContext(amount=15_000.0)
-        sequential = run_all_monitors(snapshot)
+        sequential = run_all_monitors({}, amount=15_000.0)
         with ThreadPoolExecutor(max_workers=5) as pool:
-            results = list(pool.map(lambda _: run_all_monitors(snapshot), range(32)))
+            results = list(pool.map(lambda _: run_all_monitors({}, amount=15_000.0), range(32)))
         assert all(r == sequential for r in results)
 
 
@@ -119,21 +116,21 @@ class TestCompete:
 class TestRiskThreshold:
     @pytest.mark.parametrize("amount", [10_000.0, 10_001.0, 250_000.0])
     def test_at_or_above_threshold_wins(self, amount):
-        winner = compete(run_all_monitors(RequestContext(amount=amount)))
+        winner = compete(run_all_monitors({}, amount=amount))
         assert (winner.source, winner.priority) == ("risk", 0.95)
 
     @pytest.mark.parametrize("amount", [0.0, 120.0, 9_999.99])
     def test_below_threshold_loses_to_idle_tool_health(self, amount):
-        winner = compete(run_all_monitors(RequestContext(amount=amount)))
+        winner = compete(run_all_monitors({}, amount=amount))
         assert (winner.source, winner.priority) == ("tool_health", 0.10)
 
     def test_score_channel(self):
-        signals = by_source(run_all_monitors(RequestContext(risk_score=0.97)))
+        signals = by_source(run_all_monitors({}, risk_score=0.97))
         assert signals["risk"].priority == 0.95
 
     def test_configurable_threshold(self):
         cfg = MonitorConfig(risk_amount_threshold=2000.0)
-        signals = by_source(run_all_monitors(RequestContext(amount=2600.0), cfg))
+        signals = by_source(run_all_monitors({}, amount=2600.0, cfg=cfg))
         assert signals["risk"].priority == 0.95
 
 
@@ -147,7 +144,7 @@ class TestValidation:
             MonitorSignal("llm", 0.5, {})
 
     def test_negative_amount_rejected(self):
-        # The request is checked when it is made, not by the snapshot.
+        # The request is checked when it is made, not by the monitors.
         with pytest.raises(MonitorError, match="amount"):
             TaskRequest("refund", amount=-5.0)
 
@@ -199,10 +196,10 @@ class TestValidation:
 
     def test_used_config_copies_and_pickles(self):
         cfg = MonitorConfig(risk_amount_threshold=500.0)
-        reference = run_all_monitors(RequestContext(), cfg)
+        reference = run_all_monitors({}, cfg=cfg)
         for twin in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
             assert twin == cfg
-            assert run_all_monitors(RequestContext(), twin) == reference
+            assert run_all_monitors({}, cfg=twin) == reference
 
     def test_monitors_have_no_reasoner_dependency(self):
         # Monitors must stay cheap: the module imports nothing that could

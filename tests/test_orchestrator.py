@@ -13,7 +13,7 @@ from toolrouter.bench import random_schedule
 from toolrouter.calibration import BreakerPhase, SimClock, ToolCalibration, ToolState
 from toolrouter.graph import BadLaneEdge, GraphError, ToolGraph
 from toolrouter import orchestrator
-from toolrouter.monitors import MonitorConfig, MonitorError, RequestContext, run_all_monitors
+from toolrouter.monitors import MonitorConfig, MonitorError, run_all_monitors
 from toolrouter.orchestrator import (
     BadOutcome,
     DemotedGoal,
@@ -309,28 +309,9 @@ class TestRiskInterrupt:
         assert [c.node for c in trace.tool_calls] == ["crm", "stripe", "razorpay"]
 
 
-class TestSweepSnapshot:
-    """A sweep hands the monitors the last request snapshot until the
-    visible risk inputs or the quarantine set change."""
-
-    def test_run_without_failures_builds_one_snapshot(self, monkeypatch):
-        built, swept = [], []
-        real_monitors = orchestrator.run_all_monitors
-
-        def build(**fields):
-            built.append(RequestContext(**fields))
-            return built[-1]
-
-        def monitors(ctx, cfg):
-            swept.append(ctx)
-            return real_monitors(ctx, cfg)
-
-        monkeypatch.setattr(orchestrator, "RequestContext", build)
-        monkeypatch.setattr(orchestrator, "run_all_monitors", monitors)
-        trace, _ = run_support()
-        assert trace.status is TraceStatus.SUCCESS and trace.tool_call_count == 3
-        assert len(built) == 1
-        assert len(swept) == 5 and all(ctx is built[0] for ctx in swept)  # pre-route, three tools, the goal
+class TestSweepInputs:
+    """Every sweep hands the monitors the task's live breakers, its current
+    quarantine set and the risk inputs visible at that moment."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(
@@ -340,12 +321,13 @@ class TestSweepSnapshot:
         risk_score=st.sampled_from((None, 0.1, 0.9)),
         visible_after=st.integers(0, 4),
     )
-    def test_every_sweep_sees_the_snapshot_a_fresh_build_would_give(self, kind, seed, amount, risk_score, visible_after):
+    def test_every_sweep_passes_the_live_inputs(self, kind, seed, amount, risk_score, visible_after):
         topo = build_topology(kind)
         schedule = random_schedule(kind, random.Random(seed))
-        request = TaskRequest("snapshot", amount, risk_score, visible_after)
+        request = TaskRequest("sweep", amount, risk_score, visible_after)
         graph = topo.fresh_graph()
         states = scenario_tool_states(graph)
+        cfg = MonitorConfig()
         traces, mismatches, sweeps = [], [], 0
         real_trace, real_monitors = orchestrator.ExecutionTrace, orchestrator.run_all_monitors
 
@@ -353,20 +335,21 @@ class TestSweepSnapshot:
             traces.append(real_trace(**fields))
             return traces[-1]
 
-        def monitors(ctx, cfg):
+        def monitors(*args):
             nonlocal sweeps
             sweeps += 1
             trace = traces[-1]
             visible = len(trace.completed) >= visible_after
-            fresh = RequestContext(
-                amount=amount if visible else None,
-                risk_score=risk_score if visible else None,
-                tool_states=states,
-                quarantined=frozenset(trace.quarantined),
+            expected = (
+                states,
+                trace.quarantined,
+                amount if visible else None,
+                risk_score if visible else None,
+                cfg,
             )
-            if ctx != fresh:
-                mismatches.append((ctx, fresh))
-            return real_monitors(ctx, cfg)
+            if len(args) != len(expected) or not all(a is b for a, b in zip(args, expected)):
+                mismatches.append((args, expected))
+            return real_monitors(*args)
 
         invoker = ScheduledInvoker(schedule)
         with pytest.MonkeyPatch.context() as mp:
@@ -380,6 +363,7 @@ class TestSweepSnapshot:
                 SimClock(),
                 request,
                 start=START,
+                monitor_config=cfg,
                 tool_states=states,
                 prober=ScheduledProber(schedule, invoker),
             )
@@ -597,16 +581,15 @@ class TestTaskStateBelongsToTheTask:
     def test_signal_payload_writes_do_not_reach_later_sweeps(self):
         # Idle signals are built once at import and shared by every sweep,
         # so writing into one must not reach the next.
-        ctx = RequestContext()
-        expected = run_all_monitors(ctx, MonitorConfig())  # a config of its own
+        expected = run_all_monitors({}, cfg=MonitorConfig())  # a config of its own
         before, _ = run_support(down={"stripe"})
-        for signal in run_all_monitors(ctx):
+        for signal in run_all_monitors({}):
             for key in list(signal.payload):
                 with contextlib.suppress(AttributeError):
                     signal.payload[key].append("crm")
                 with contextlib.suppress(TypeError):
                     signal.payload[key] = ["crm"]
-        assert run_all_monitors(ctx) == expected
+        assert run_all_monitors({}) == expected
         after, _ = run_support(down={"stripe"})
         assert after.to_json() == before.to_json()
 

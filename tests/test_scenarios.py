@@ -15,6 +15,7 @@ from toolrouter.graph import GraphError
 from toolrouter.monitors import MonitorError
 from toolrouter.orchestrator import Outcome, TraceStatus
 from toolrouter.scenarios import (
+    HARD_FAILURE,
     PROBE_LATENCY_MS,
     TOOL_CALL_LATENCY_MS,
     FaultEffect,
@@ -122,9 +123,9 @@ class TestLoading:
     @pytest.mark.parametrize(
         "corrupt, names",
         [
-            (lambda doc: doc["faults"][0].update(effect="DOWN_LATER"), "'DOWN_LATER' is not a valid FaultEffect"),
+            (lambda doc: doc["faults"][0].update(effect="DOWN_LATER"), "faults[0].effect must be one of DOWN_FROM_START, FAIL_AT_STEP, got 'DOWN_LATER'"),
             (lambda doc: doc["request"].pop("text"), "'text' is missing"),
-            (lambda doc: doc["faults"][0].update(at_step="two"), "at_step must be an integer >= 0, got 'two'"),
+            (lambda doc: doc["faults"][0].update(at_step="two"), "faults[0].at_step must be an integer >= 0, got 'two'"),
             (lambda doc: doc.pop("expected"), "'expected' is missing"),
             (lambda doc: doc.update(faults={"tool": "stripe"}), "faults must be a list, got dict"),
             (lambda doc: doc.update(topology="ring"), "'ring' is not a valid TopologyKind"),
@@ -146,6 +147,12 @@ class TestLoading:
             (lambda doc: doc["expected"]["workflow"].update(classifiers_lost=1.5), "expected.workflow.classifiers_lost must be an integer >= 0, got 1.5"),
             (lambda doc: doc["expected"]["workflow"].update(silent_failure="no"), "expected.workflow.silent_failure must be a boolean, got 'no'"),
             (lambda doc: doc["expected"]["shr"].update(status=["success"]), "expected.shr.status must be 'success' or 'escalated', got ['success']"),
+            (lambda doc: doc["faults"][0].update(effect="DOWN"), "faults[0].effect must be one of DOWN_FROM_START, FAIL_AT_STEP, got 'DOWN'"),
+            (lambda doc: doc["faults"][0].update(probe_visible="false"), "faults[0].probe_visible must be a boolean, got 'false'"),
+            (lambda doc: doc["faults"][0].update(kind=["x"]), "faults[0].kind must be one of timeout, error_response, connection_refused, got ['x']"),
+            (lambda doc: doc["faults"][0].update(kind="rate_limited"), "faults[0].kind must be one of timeout, error_response, connection_refused, got 'rate_limited'"),
+            (lambda doc: doc["faults"][0].update(at_step=5), "faults[0].at_step applies only to FAIL_AT_STEP, not DOWN_FROM_START"),
+            (lambda doc: doc["request"].update(content_toxic="no"), "request.content_toxic must be a boolean, got 'no'"),
         ],
         ids=[
             "effect", "request_text", "at_step", "expected", "faults_object", "topology",
@@ -153,6 +160,8 @@ class TestLoading:
             "risk_score_type", "fault_entry_type", "unknown_tool", "fault_tool_type", "topology_type",
             "expected_type", "expected_section_type", "expected_count_type", "expected_count_negative",
             "expected_count_bool", "expected_optional_count", "expected_flag_type", "expected_status",
+            "effect_unknown", "probe_visible_type", "kind_type", "kind_unknown", "at_step_on_down_from_start",
+            "content_toxic_type",
         ],
     )
     def test_malformed_scenario_names_the_field(self, tmp_path, corrupt, names):
@@ -273,7 +282,9 @@ class TestFaultSchedules:
         a, b = scenario_tool_states(graph), scenario_tool_states(graph)
         for tool in graph.tool_nodes():
             assert a[tool] is not b[tool] and a[tool].breaker is not b[tool].breaker
-            assert a[tool].config is b[tool].config
+            for state in (a[tool], b[tool]):
+                breaker = state.breaker
+                assert (breaker.trip_threshold, breaker.cooldown_ms) == (HARD_FAILURE.trip_threshold, HARD_FAILURE.cooldown_ms)
         a["stripe"].record_call(SimClock(), 100.0, success=False)
         assert a["stripe"].breaker.phase is BreakerPhase.OPEN
         assert b["stripe"].breaker.phase is BreakerPhase.CLOSED
