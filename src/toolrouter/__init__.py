@@ -44,7 +44,6 @@ from .scenarios import (
     FaultEffect,
     FaultEntry,
     FaultSchedule,
-    HealthyInvoker,
     Scenario,
     ScheduledInvoker,
     ScheduledProber,

@@ -24,6 +24,7 @@ from .monitors import MonitorConfig
 from .orchestrator import ExecutionTrace, TaskRequest, TraceStatus
 from .scenarios import (
     EXPECTED_FIXTURE_DIGEST,
+    FAULT_KINDS,
     SCENARIO_IDS,
     FaultEntry,
     FaultEffect,
@@ -135,6 +136,11 @@ class BenchResult:
             raise ResultCorrupt("expected a JSON object")
         domains = {s.id: s.domain for s in load_scenarios()}
         rows = [_parse_row(f"rows[{i}]", r, domains) for i, r in enumerate(_member(doc, "rows", list))]
+        seen = set()
+        for i, row in enumerate(rows):
+            if (row.scenario, row.arch) in seen:
+                raise ResultCorrupt(f"rows[{i}]: a second {row.scenario}/{row.arch} row")
+            seen.add((row.scenario, row.arch))
         stored = _member(doc, "aggregates", dict)
         for arch in stored:
             if arch not in ARCHITECTURES:
@@ -296,22 +302,8 @@ def diff_against_fixtures(result: BenchResult) -> list[str]:
     problems: list[str] = []
     scenarios = {s.id: s for s in load_scenarios()}
     for row in result.rows:
-        exp = scenarios[row.scenario].expected
-        if row.arch == "shr":
-            checks = [("llm_calls", row.llm_calls, exp.shr_llm), ("tool_calls", row.tool_calls, exp.shr_tools)]
-            checks.append(("recoveries", row.recoveries, exp.shr_recoveries))
-            checks.append(("status", row.status, exp.shr_status))
-        elif row.arch == "react":
-            checks = [("llm_calls", row.llm_calls, exp.react_llm), ("tool_calls", row.tool_calls, exp.react_tools)]
-        else:
-            checks = [
-                ("silent_failure", row.silent_failure, exp.workflow_silent),
-                ("tool_calls", row.tool_calls, exp.workflow_tools),
-                ("recoveries", row.recoveries, exp.workflow_recoveries),
-            ]
-            if exp.classifiers_lost is not None:
-                checks.append(("classifiers_lost", row.classifiers_lost, exp.classifiers_lost))
-        for cell, got, want in checks:
+        for cell, want in scenarios[row.scenario].expected[row.arch].items():
+            got = getattr(row, cell)
             if got != want:
                 problems.append(f"{row.scenario}/{row.arch}/{cell}: got {got!r}, expected {want!r}")
     return problems
@@ -508,7 +500,6 @@ def measure_recovery_latency(repetitions: int = 200) -> dict:
     return results
 
 
-_FAILURE_KINDS = ("timeout", "error_response", "connection_refused")
 _MAX_DOWN = 5  # most tools one random schedule takes down
 
 
@@ -524,7 +515,7 @@ def random_schedule(kind: TopologyKind, rng: random.Random) -> FaultSchedule:
             FaultEntry(
                 tool=tool,
                 effect=effect,
-                kind=rng.choice(_FAILURE_KINDS),
+                kind=rng.choice(FAULT_KINDS),
                 probe_visible=rng.random() < 0.4,
                 at_step=rng.randint(1, 4) if effect is FaultEffect.FAIL_AT_STEP else 0,
             )

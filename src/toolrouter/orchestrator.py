@@ -167,8 +167,6 @@ class Escalate:
 
 
 class Reasoner(Protocol):
-    calls: int
-
     def consult(self, query: ReasonerQuery) -> DemotedGoal | Escalate: ...
 
 
@@ -176,11 +174,7 @@ class RuleReasoner:
     """Deterministic stand-in for an LLM: demotion queries propose the next
     untried ladder option, everything else escalates with a handoff note."""
 
-    def __init__(self) -> None:
-        self.calls = 0
-
     def consult(self, query: ReasonerQuery) -> DemotedGoal | Escalate:
-        self.calls += 1
         if query.kind == "demotion" and query.remaining_options:
             return DemotedGoal(query.remaining_options[0])
         if query.kind == "demotion":

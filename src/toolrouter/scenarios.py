@@ -95,54 +95,33 @@ class FaultSchedule:
                 raise UnknownTool(f"fault entry references unknown tool {e.tool!r}")
 
 
-_DEFAULT_OK = Outcome.ok(TOOL_CALL_LATENCY_MS)
-
-
-class HealthyInvoker:
-    """Every call succeeds at a fixed latency; the no-fault baseline.
-
-    ``Outcome`` is frozen, so every call returns one shared success, made
-    again only once ``latency_ms`` has been set to another value.
-    """
-
-    def __init__(self, latency_ms: float = TOOL_CALL_LATENCY_MS):
-        self.latency_ms = latency_ms
-        self._ok = _DEFAULT_OK
-
-    def invoke(self, node: str, clock: SimClock) -> Outcome:
-        ok = self._ok
-        if ok.latency_ms is not self.latency_ms:
-            ok = self._ok = Outcome.ok(self.latency_ms)
-        return ok
+_OK = Outcome.ok(TOOL_CALL_LATENCY_MS)
 
 
 class ScheduledInvoker:
-    """Wraps an invoker so scheduled outages fail exactly as written.
+    """Every call succeeds at ``TOOL_CALL_LATENCY_MS``, except where the
+    schedule says the tool is down.
 
     Keeps a shared attempt counter so call-indexed effects land identically
-    for every architecture replaying the same scenario.  The set of
-    scheduled tools is taken once, when the invoker is made, so a call to
-    any other tool reads no entry.
+    for every architecture replaying the same scenario.  ``Outcome`` is
+    frozen, so every success is one shared value.  The entries are grouped
+    by tool once, when the invoker is made, so a call to an unscheduled
+    tool reads no entry.
     """
 
-    def __init__(self, schedule: FaultSchedule, base: HealthyInvoker | None = None):
-        self.schedule = schedule
-        self.base = base or HealthyInvoker()
+    def __init__(self, schedule: FaultSchedule):
         self.attempts = 0
-        self._scheduled = {entry.tool for entry in schedule.entries}
-
-    def _down(self, node: str) -> FaultEntry | None:
-        for entry in self.schedule.entries:
-            if entry.tool == node and entry.active(self.attempts):
-                return entry
-        return None
+        self._entries: dict[str, list[FaultEntry]] = {}
+        for entry in schedule.entries:
+            self._entries.setdefault(entry.tool, []).append(entry)
 
     def invoke(self, node: str, clock: SimClock) -> Outcome:
-        entry = self._down(node) if node in self._scheduled else None
-        self.attempts += 1
-        if entry is not None:
-            return Outcome.failed(entry.kind, self.base.latency_ms)
-        return self.base.invoke(node, clock)
+        attempts = self.attempts
+        self.attempts = attempts + 1
+        for entry in self._entries.get(node, ()):
+            if entry.active(attempts):
+                return Outcome.failed(entry.kind, TOOL_CALL_LATENCY_MS)
+        return _OK
 
 
 class ScheduledProber:
@@ -152,12 +131,12 @@ class ScheduledProber:
     failures (an auth error, say) stay invisible until a request hits them.
     One probe per tool per sweep keeps the cadence honest.  The
     probe-visible entries are taken once, when the prober is made; a
-    schedule with none gives a scan that returns at once.
+    schedule with none gives a scan that returns at once.  ``invoker`` is
+    not read (``scan`` takes the attempt count from its caller); it is
+    accepted because perfbench passes it.
     """
 
     def __init__(self, schedule: FaultSchedule, invoker: ScheduledInvoker):
-        self.schedule = schedule
-        self.invoker = invoker  # unused (scan takes attempts from its caller); accepted because perfbench passes it
         self._visible = [entry for entry in schedule.entries if entry.probe_visible]
 
     def scan(self, clock: SimClock, states: Mapping[str, ToolState], attempts: int) -> list[str]:
@@ -177,34 +156,6 @@ class ScheduledProber:
 
 
 @dataclass(frozen=True)
-class ExpectedCounts:
-    """Fixture cells.  ``shr_recoveries_tabulated`` marks whether the
-    recovery cell comes from the reference tables (travel domain) or is a
-    derived value kept for regression."""
-
-    shr_llm: int
-    shr_tools: int
-    shr_recoveries: int
-    shr_recoveries_tabulated: bool
-    shr_status: str
-    react_llm: int
-    react_tools: int
-    workflow_silent: bool
-    classifiers_lost: int | None
-    workflow_tools: int
-    workflow_recoveries: int
-
-    def pinned_cells(self) -> list:
-        cells = [self.shr_llm, self.shr_tools]
-        if self.shr_recoveries_tabulated:
-            cells.append(self.shr_recoveries)
-        cells += [self.react_llm, self.react_tools, self.workflow_silent]
-        if self.classifiers_lost is not None:
-            cells.append(self.classifiers_lost)
-        return cells
-
-
-@dataclass(frozen=True)
 class Scenario:
     id: str
     name: str
@@ -213,7 +164,8 @@ class Scenario:
     request: TaskRequest
     monitor_config: MonitorConfig
     content_toxic: bool
-    expected: ExpectedCounts
+    expected: dict[str, dict[str, int | bool | str]]  # arch -> BenchRow field -> value
+    recoveries_tabulated: bool  # shr recoveries come from the reference tables
     notes: str = ""
 
     @property
@@ -249,46 +201,69 @@ def _choice(value: object, name: str, allowed: tuple[str, ...]) -> str:
 
 
 _EFFECTS = tuple(effect.value for effect in FaultEffect)
-_FAULT_KINDS = ("timeout", "error_response", "connection_refused")
+FAULT_KINDS = ("timeout", "error_response", "connection_refused")
 
 
 def _fault(e: object, name: str) -> FaultEntry:
-    """One fault entry; ``at_step`` may appear only on FAIL_AT_STEP."""
+    """One fault entry; FAIL_AT_STEP needs an ``at_step`` >= 1 (at 0 it
+    would be DOWN_FROM_START), and no other effect may have one."""
     e = _object(e, name)
     tool = _string(e["tool"], f"{name}.tool")
     effect = FaultEffect(_choice(e["effect"], f"{name}.effect", _EFFECTS))
-    at_step = _cell(e, f"{name}.at_step") if "at_step" in e else 0
-    if "at_step" in e and effect is not FaultEffect.FAIL_AT_STEP:
+    at_step = _cell(e, f"{name}.at_step") if "at_step" in e else None
+    if effect is FaultEffect.FAIL_AT_STEP and not at_step:
+        got = "it is missing" if at_step is None else f"got {at_step}"
+        raise ValueError(f"{name}.at_step must be an integer >= 1 on FAIL_AT_STEP, {got}")
+    if at_step is not None and effect is not FaultEffect.FAIL_AT_STEP:
         raise ValueError(f"{name}.at_step applies only to FAIL_AT_STEP, not {effect.value}")
     return FaultEntry(
         tool=tool,
         effect=effect,
-        kind=_choice(e.get("kind", "error_response"), f"{name}.kind", _FAULT_KINDS),
+        kind=_choice(e.get("kind", "error_response"), f"{name}.kind", FAULT_KINDS),
         probe_visible=_cell(e, f"{name}.probe_visible", bool) if "probe_visible" in e else False,
-        at_step=at_step,
+        at_step=at_step or 0,
     )
 
 
-def _expected(exp: object) -> ExpectedCounts:
+# Every fixture cell: the architecture and the ``BenchRow`` field it checks,
+# the value's type (``str`` is a status), and whether the fixture digest
+# pins it.  The order is the order ``bench.diff_against_fixtures`` reports
+# in.  The files keep the static architecture's cells under "workflow";
+# its classifiers_lost is null outside content moderation, and is then no
+# cell.  shr recoveries are pinned only where ``recoveries_tabulated``.
+_CELLS = (
+    ("shr", "llm_calls", int, True),
+    ("shr", "tool_calls", int, True),
+    ("shr", "recoveries", int, True),
+    ("shr", "status", str, False),
+    ("react", "llm_calls", int, True),
+    ("react", "tool_calls", int, True),
+    ("static", "silent_failure", bool, True),
+    ("static", "tool_calls", int, False),
+    ("static", "recoveries", int, False),
+    ("static", "classifiers_lost", int, True),
+)
+_SECTIONS = {"shr": "shr", "react": "react", "static": "workflow"}
+
+
+def _expected(exp: object) -> tuple[dict[str, dict], bool]:
+    """The fixture cells by architecture and row field, and whether the
+    shr recoveries are tabulated."""
     exp = _object(exp, "expected")
-    shr, react, workflow = (_object(exp[k], f"expected.{k}") for k in ("shr", "react", "workflow"))
-    status = shr["status"]
-    if status not in ("success", "escalated"):
-        raise ValueError(f"expected.shr.status must be 'success' or 'escalated', got {status!r}")
-    lost = workflow.get("classifiers_lost")
-    return ExpectedCounts(
-        shr_llm=_cell(shr, "expected.shr.llm_calls"),
-        shr_tools=_cell(shr, "expected.shr.tool_calls"),
-        shr_recoveries=_cell(shr, "expected.shr.recoveries"),
-        shr_recoveries_tabulated=_cell(shr, "expected.shr.recoveries_tabulated", bool),
-        shr_status=status,
-        react_llm=_cell(react, "expected.react.llm_calls"),
-        react_tools=_cell(react, "expected.react.tool_calls"),
-        workflow_silent=_cell(workflow, "expected.workflow.silent_failure", bool),
-        classifiers_lost=None if lost is None else _cell(workflow, "expected.workflow.classifiers_lost"),
-        workflow_tools=_cell(workflow, "expected.workflow.tool_calls"),
-        workflow_recoveries=_cell(workflow, "expected.workflow.recoveries"),
-    )
+    sections = {arch: _object(exp[key], f"expected.{key}") for arch, key in _SECTIONS.items()}
+    cells: dict[str, dict] = {arch: {} for arch in _SECTIONS}
+    for arch, field, kind, _ in _CELLS:
+        section, name = sections[arch], f"expected.{_SECTIONS[arch]}.{field}"
+        if kind is str:
+            value = section[field]
+            if value not in ("success", "escalated"):
+                raise ValueError(f"{name} must be 'success' or 'escalated', got {value!r}")
+        elif field == "classifiers_lost" and section.get(field) is None:
+            continue
+        else:
+            value = _cell(section, name, kind)
+        cells[arch][field] = value
+    return cells, _cell(sections["shr"], "expected.shr.recoveries_tabulated", bool)
 
 
 def _parse_scenario(doc: dict) -> Scenario:
@@ -310,7 +285,7 @@ def _parse_scenario(doc: dict) -> Scenario:
     except MonitorError as exc:  # the request's own check, not the monitor overrides'
         raise ValueError(str(exc)) from exc
     monitor_config = MonitorConfig.from_dict(doc.get("monitor_overrides", {}))
-    expected = _expected(doc["expected"])
+    expected, recoveries_tabulated = _expected(doc["expected"])
     return Scenario(
         id=doc["id"],
         name=doc["name"],
@@ -320,12 +295,22 @@ def _parse_scenario(doc: dict) -> Scenario:
         monitor_config=monitor_config,
         content_toxic=_cell(req, "request.content_toxic", bool) if "content_toxic" in req else False,
         expected=expected,
+        recoveries_tabulated=recoveries_tabulated,
         notes=doc.get("notes", ""),
     )
 
 
+def _pinned(scenario: Scenario) -> list:
+    return [
+        scenario.expected[arch][field]
+        for arch, field, _, pinned in _CELLS
+        if pinned and field in scenario.expected[arch]
+        and (scenario.recoveries_tabulated or (arch, field) != ("shr", "recoveries"))
+    ]
+
+
 def fixture_digest(scenarios: list[Scenario]) -> str:
-    payload = [[s.id] + s.expected.pinned_cells() for s in scenarios]
+    payload = [[s.id] + _pinned(s) for s in scenarios]
     blob = json.dumps(payload, separators=(",", ":"), sort_keys=False)
     return f"{zlib.crc32(blob.encode()):08x}"
 

@@ -27,9 +27,9 @@ class TestReact:
     def test_every_scenario_matches_the_fixture_columns(self, suite):
         for scenario in suite:
             trace = run_react(scenario)
-            e = scenario.expected
-            assert trace.llm_calls == e.react_llm, scenario.id
-            assert trace.tool_call_count == e.react_tools, scenario.id
+            e = scenario.expected["react"]
+            assert trace.llm_calls == e["llm_calls"], scenario.id
+            assert trace.tool_call_count == e["tool_calls"], scenario.id
 
     def test_s1(self, by_id):
         trace = run_react(by_id["S1"])
@@ -129,10 +129,10 @@ class TestStaticWorkflow:
     def test_per_scenario_derived_fixtures(self, suite):
         for scenario in suite:
             trace, report = run_static_workflow(scenario)
-            e = scenario.expected
-            assert trace.tool_call_count == e.workflow_tools, scenario.id
-            assert trace.recovery_events == e.workflow_recoveries, scenario.id
-            assert report.silent_failure == e.workflow_silent, scenario.id
+            e = scenario.expected["static"]
+            assert trace.tool_call_count == e["tool_calls"], scenario.id
+            assert trace.recovery_events == e["recoveries"], scenario.id
+            assert report.silent_failure == e["silent_failure"], scenario.id
 
 
 class TestAudit:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from toolrouter.bench import (
     run_fuzz,
 )
 from toolrouter.graph import ToolGraph
+from toolrouter.scenarios import load_scenarios
 
 from conftest import count_calls
 
@@ -35,6 +37,18 @@ from conftest import count_calls
 @pytest.fixture(scope="module")
 def result():
     return run_benchmark()
+
+
+def _repeat_first_row(doc):
+    """Append the first row again, with its aggregates recomputed to match."""
+    row = dict(doc["rows"][0])
+    doc["rows"].append(row)
+    agg = doc["aggregates"][row["arch"]]
+    agg["scenarios"] += 1
+    agg["correct"] += row["correct"]
+    agg["silent_failures"] += row["silent_failure"]
+    for key in ("llm_calls", "tool_calls", "recoveries"):
+        agg[key] += row[key]
 
 
 class TestRunBenchmark:
@@ -91,6 +105,27 @@ class TestRunBenchmark:
 
     def test_diff_is_clean(self, result):
         assert diff_against_fixtures(result) == []
+
+    def test_diff_reports_each_fixture_cell_alone(self, result):
+        """Every cell of ``scenario.expected``, edited in a copy of its row,
+        is the one problem the diff reports: 4 shr, 2 react and 3 static
+        cells per scenario, plus classifiers_lost for the six M scenarios."""
+        scenarios = {s.id: s for s in load_scenarios()}
+        checked = 0
+        for i, row in enumerate(result.rows):
+            for field, want in scenarios[row.scenario].expected[row.arch].items():
+                if isinstance(want, bool):
+                    got = not want
+                elif isinstance(want, str):
+                    got = "escalated" if want == "success" else "success"
+                else:
+                    got = want + 1
+                rows = list(result.rows)
+                rows[i] = replace(row, **{field: got})
+                edited = BenchResult(rows, result.aggregates, result.metadata)
+                assert diff_against_fixtures(edited) == [f"{row.scenario}/{row.arch}/{field}: got {got!r}, expected {want!r}"]
+                checked += 1
+        assert checked == 19 * (4 + 2 + 3) + 6
 
 
 class TestDeterminism:
@@ -187,6 +222,7 @@ class TestPersistence:
             (lambda doc: doc["rows"][2].update(classifiers_lost="x"), "rows[2]: classifiers_lost must be null or a JSON integer >= 0, got 'x'"),
             (lambda doc: doc["rows"][2].update(classifiers_lost=-2), "rows[2]: classifiers_lost must be null or a JSON integer >= 0, got -2"),
             (lambda doc: doc["rows"][2].update(classifiers_lost=True), "rows[2]: classifiers_lost must be null or a JSON integer >= 0, got True"),
+            (_repeat_first_row, "rows[57]: a second S1/shr row"),
         ],
         ids=[
             "unknown_field",
@@ -211,6 +247,7 @@ class TestPersistence:
             "classifiers_lost_type",
             "classifiers_lost_negative",
             "classifiers_lost_bool",
+            "repeated_row",
         ],
     )
     def test_corrupt_result_names_the_field(self, result, tmp_path, corrupt, names):

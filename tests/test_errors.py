@@ -11,7 +11,7 @@ from toolrouter.calibration import CalibrationError, SimClock, ToolCalibration
 from toolrouter.graph import GraphError, ToolGraph
 from toolrouter.monitors import MonitorConfig, MonitorError
 from toolrouter.orchestrator import OrchestratorError, RuleReasoner, TaskGoal, TaskRequest, execute_task
-from toolrouter.scenarios import FaultEffect, FaultEntry, FaultSchedule, HealthyInvoker, ScenarioError
+from toolrouter.scenarios import FaultEffect, FaultEntry, FaultSchedule, ScenarioError, ScheduledInvoker
 from toolrouter.topologies import TopologyKind, build_topology
 
 
@@ -27,7 +27,7 @@ def _support():
         (CalibrationError, lambda: ToolCalibration(trip_threshold=0)),
         (
             OrchestratorError,
-            lambda: execute_task(TaskGoal("g", "nowhere"), _support(), HealthyInvoker(), RuleReasoner(), SimClock(), TaskRequest("x")),
+            lambda: execute_task(TaskGoal("g", "nowhere"), _support(), ScheduledInvoker(FaultSchedule()), RuleReasoner(), SimClock(), TaskRequest("x")),
         ),
         (ScenarioError, lambda: FaultSchedule((FaultEntry("warp_drive", FaultEffect.DOWN_FROM_START),)).validate_against(_support())),
         (BenchError, lambda: measure_recovery_latency(0)),

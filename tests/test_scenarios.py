@@ -19,7 +19,6 @@ from toolrouter.scenarios import (
     PROBE_LATENCY_MS,
     TOOL_CALL_LATENCY_MS,
     FaultEffect,
-    HealthyInvoker,
     FaultEntry,
     FaultSchedule,
     FixtureCorrupt,
@@ -60,12 +59,12 @@ class TestLoading:
 
     def test_s7_fixture(self, by_id):
         e = by_id["S7"].expected
-        assert (e.shr_llm, e.shr_tools, e.react_llm, e.workflow_silent) == (2, 5, 9, True)
+        assert (e["shr"]["llm_calls"], e["shr"]["tool_calls"], e["react"]["llm_calls"], e["static"]["silent_failure"]) == (2, 5, 9, True)
 
     def test_m6_fixture(self, by_id):
         e = by_id["M6"].expected
-        assert e.react_llm == 10
-        assert e.classifiers_lost == 4
+        assert e["react"]["llm_calls"] == 10
+        assert e["static"]["classifiers_lost"] == 4
 
     def test_digest_guard_catches_tampering(self, monkeypatch):
         monkeypatch.setattr(scenarios_mod, "EXPECTED_FIXTURE_DIGEST", "0" * 64)
@@ -152,6 +151,8 @@ class TestLoading:
             (lambda doc: doc["faults"][0].update(kind=["x"]), "faults[0].kind must be one of timeout, error_response, connection_refused, got ['x']"),
             (lambda doc: doc["faults"][0].update(kind="rate_limited"), "faults[0].kind must be one of timeout, error_response, connection_refused, got 'rate_limited'"),
             (lambda doc: doc["faults"][0].update(at_step=5), "faults[0].at_step applies only to FAIL_AT_STEP, not DOWN_FROM_START"),
+            (lambda doc: doc["faults"][0].update(effect="FAIL_AT_STEP"), "faults[0].at_step must be an integer >= 1 on FAIL_AT_STEP, it is missing"),
+            (lambda doc: doc["faults"][0].update(effect="FAIL_AT_STEP", at_step=0), "faults[0].at_step must be an integer >= 1 on FAIL_AT_STEP, got 0"),
             (lambda doc: doc["request"].update(content_toxic="no"), "request.content_toxic must be a boolean, got 'no'"),
         ],
         ids=[
@@ -161,7 +162,7 @@ class TestLoading:
             "expected_type", "expected_section_type", "expected_count_type", "expected_count_negative",
             "expected_count_bool", "expected_optional_count", "expected_flag_type", "expected_status",
             "effect_unknown", "probe_visible_type", "kind_type", "kind_unknown", "at_step_on_down_from_start",
-            "content_toxic_type",
+            "at_step_missing_on_fail_at_step", "at_step_zero_on_fail_at_step", "content_toxic_type",
         ],
     )
     def test_malformed_scenario_names_the_field(self, tmp_path, corrupt, names):
@@ -225,11 +226,10 @@ class TestTopologies:
 
 class TestFaultSchedules:
     def test_empty_schedule_changes_nothing(self):
-        base = HealthyInvoker()
-        wrapped = ScheduledInvoker(FaultSchedule(), base=base)
-        clock = SimClock()
+        invoker, clock = ScheduledInvoker(FaultSchedule()), SimClock()
         for node in ("crm", "stripe", "email"):
-            assert wrapped.invoke(node, clock) == base.invoke(node, clock)
+            assert invoker.invoke(node, clock) == Outcome.ok(TOOL_CALL_LATENCY_MS)
+        assert invoker.attempts == 3 and clock.now == 0
 
     def test_s5_email_fails_exactly_once_at_the_email_step(self, by_id):
         trace = run_self_healing(by_id["S5"])
@@ -264,13 +264,13 @@ class TestFaultSchedules:
             states["nope"]
 
 
-    def test_healthy_invoker_shares_its_outcome_until_the_latency_changes(self):
-        invoker, clock = HealthyInvoker(), SimClock()
+    def test_scheduled_invoker_shares_one_success_outcome(self):
+        schedule = FaultSchedule((FaultEntry("stripe", FaultEffect.FAIL_AT_STEP, at_step=2),))
+        invoker, clock = ScheduledInvoker(schedule), SimClock()
         first = invoker.invoke("crm", clock)
         assert first == Outcome.ok(TOOL_CALL_LATENCY_MS) and invoker.invoke("stripe", clock) is first
-        invoker.latency_ms = 7.5
-        assert invoker.invoke("crm", clock) == Outcome.ok(7.5)
-        assert ScheduledInvoker(FaultSchedule(), base=invoker).invoke("crm", clock).latency_ms == 7.5
+        assert not invoker.invoke("stripe", clock).success
+        assert invoker.invoke("crm", clock) is first and ScheduledInvoker(FaultSchedule()).invoke("crm", clock) is first
 
     def test_fault_values_keep_no_attribute_dict(self):
         """A workload holds thousands of schedules for its whole run."""
@@ -291,8 +291,8 @@ class TestFaultSchedules:
 
 
 class _ReferenceInvoker:
-    """The scheduled invoker as it was before it kept its set of scheduled
-    tools: every call reads every entry."""
+    """The scheduled invoker as it was before it grouped its entries by
+    tool: every call reads every entry."""
 
     def __init__(self, schedule: FaultSchedule):
         self.schedule = schedule
@@ -368,9 +368,9 @@ class TestEmergentColumns:
     def test_every_scenario_matches_its_fixture(self, suite):
         for scenario in suite:
             trace = run_self_healing(scenario)
-            e = scenario.expected
+            e = scenario.expected["shr"]
             got = (trace.llm_calls, trace.tool_call_count, trace.recovery_events, trace.status.value)
-            want = (e.shr_llm, e.shr_tools, e.shr_recoveries, e.shr_status)
+            want = (e["llm_calls"], e["tool_calls"], e["recoveries"], e["status"])
             assert got == want, f"{scenario.id}: {got} != {want}"
 
     def test_travel_recovery_column_sums_to_seven(self, suite):

@@ -1,4 +1,5 @@
-"""Check the chained CRC-32 trace digests of the five digest corpora.
+"""Check the chained CRC-32 trace digests of the five digest corpora, and
+the CRC-32 of the two benchmark reports.
 
     python3 tests/trace_digests.py
 
@@ -14,9 +15,13 @@ over ``ExecutionTrace.to_json()`` in run order:
 - paper_fuzz, wide_catalog, long_session: the first 3,000 / 400 / 6,000
   tasks of ``WORKLOADS[name](11)``
 
-A change that keeps trace semantics leaves all five unchanged; one that
-changes them updates ``EXPECTED`` and records old -> new and why.  Takes a
-few seconds.
+The two report digests are the CRC-32 of
+``render_report(run_benchmark(BenchConfig(seed=3)), fmt, diff=True)`` for
+``fmt`` json (what ``toolrouter bench --format json --diff`` prints) and md.
+
+A change that keeps trace semantics and the benchmark table leaves all
+seven unchanged; one that changes them updates ``EXPECTED`` and records
+old -> new and why.  Takes a few seconds.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ EXPECTED = {
     # Earlier, 8141714d -> 9ba40b32: SimClock.advance carries fractional
     # milliseconds instead of dropping them; only long_session feeds them.
     "long_session": "1dff1bbb",
+    "report_json": "b5138156",
+    "report_md": "066d6f7f",
 }
 
 
@@ -75,6 +82,10 @@ def fuzz_traces(iterations: int, seed: int) -> tuple[list, dict]:
     return traces, stats
 
 
+def crc(text: str) -> str:
+    return f"{zlib.crc32(text.encode()):08x}"
+
+
 def main() -> int:
     got = {"fixtures": chained(run_self_healing(s) for s in load_scenarios())}
     traces, stats = fuzz_traces(1000, seed=42)
@@ -83,6 +94,9 @@ def main() -> int:
     for name, tasks in WORKLOAD_TASKS.items():
         workload = WORKLOADS[name](WORKLOAD_SEED)
         got[name] = chained(workload.run_task(t) for t in workload.tasks[:tasks])
+    result = bench.run_benchmark(bench.BenchConfig(seed=3))
+    for fmt in ("json", "md"):
+        got[f"report_{fmt}"] = crc(bench.render_report(result, fmt=fmt, diff=True))
     moved = 0
     for name, digest in got.items():
         if digest == EXPECTED[name]:
