@@ -15,7 +15,7 @@ import statistics
 import time
 import zlib
 from copy import deepcopy
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .baselines import AuditReport, audit, run_react, run_static_workflow
@@ -118,6 +118,10 @@ class BenchResult:
     rows: list[BenchRow]
     aggregates: dict[str, dict]
     metadata: dict
+    # The scenarios by id that the rows were run or checked against, so the
+    # fixture diff of the same command reads no file again.  Not saved; a
+    # result made without them loads them for its diff.
+    scenarios: dict[str, Scenario] | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         """A fresh document: editing it leaves the result as it was."""
@@ -134,8 +138,8 @@ class BenchResult:
     def from_dict(doc: object) -> "BenchResult":
         if not isinstance(doc, dict):
             raise ResultCorrupt("expected a JSON object")
-        domains = {s.id: s.domain for s in load_scenarios()}
-        rows = [_parse_row(f"rows[{i}]", r, domains) for i, r in enumerate(_member(doc, "rows", list))]
+        scenarios = {s.id: s for s in load_scenarios()}
+        rows = [_parse_row(f"rows[{i}]", r, scenarios) for i, r in enumerate(_member(doc, "rows", list))]
         seen = set()
         for i, row in enumerate(rows):
             if (row.scenario, row.arch) in seen:
@@ -158,7 +162,7 @@ class BenchResult:
                 if type(value) is not int or value != agg.get(key):
                     raise ResultCorrupt(f"aggregates.{arch}.{key} is {value!r}, its rows give {agg.get(key)!r}")
         metadata = _member(doc, "metadata", dict)
-        return BenchResult(rows=rows, aggregates=aggregates, metadata=deepcopy(metadata))
+        return BenchResult(rows=rows, aggregates=aggregates, metadata=deepcopy(metadata), scenarios=scenarios)
 
     @staticmethod
     def from_json(text: str) -> "BenchResult":
@@ -194,8 +198,8 @@ def _member(doc: dict, key: str, kind: type):
     return doc[key]
 
 
-def _parse_row(where: str, doc: object, domains: dict[str, str]) -> BenchRow:
-    """One saved row; ``domains`` maps each scenario id to its domain."""
+def _parse_row(where: str, doc: object, scenarios: dict[str, Scenario]) -> BenchRow:
+    """One saved row, checked against ``scenarios`` by id."""
     if not isinstance(doc, dict):
         raise ResultCorrupt(f"{where} must be a JSON object")
     odd = sorted(set(doc) ^ _ROW_FIELDS)
@@ -203,7 +207,7 @@ def _parse_row(where: str, doc: object, domains: dict[str, str]) -> BenchRow:
         raise ResultCorrupt(f"{where}: field {odd[0]!r} is {'unknown' if odd[0] in doc else 'missing'}")
     if doc["scenario"] not in SCENARIO_IDS:
         raise ResultCorrupt(f"{where}: unknown scenario {doc['scenario']!r}")
-    domain = domains[doc["scenario"]]
+    domain = scenarios[doc["scenario"]].domain
     if doc["domain"] != domain:
         raise ResultCorrupt(f"{where}: domain must be {domain!r}, the domain of {doc['scenario']}, got {doc['domain']!r}")
     if doc["arch"] not in ARCHITECTURES:
@@ -237,10 +241,11 @@ def _aggregate(rows: list[BenchRow], archs: tuple[str, ...]) -> dict[str, dict]:
 
 def run_benchmark(config: BenchConfig | None = None) -> BenchResult:
     config = (config or BenchConfig()).validate()
-    scenarios = load_scenarios()
+    loaded = {s.id: s for s in load_scenarios()}
+    scenarios = list(loaded.values())
     if config.scenario_ids is not None:
         wanted = set(config.scenario_ids)
-        unknown = wanted - {s.id for s in scenarios}
+        unknown = wanted - loaded.keys()
         if unknown:
             raise ConfigInvalid(f"unknown scenarios {sorted(unknown)}")
         scenarios = [s for s in scenarios if s.id in wanted]
@@ -248,7 +253,7 @@ def run_benchmark(config: BenchConfig | None = None) -> BenchResult:
     for scenario in scenarios:
         for arch in config.architectures:
             rows.append(_run_one(scenario, arch))
-    result = BenchResult(
+    return BenchResult(
         rows=rows,
         aggregates=_aggregate(rows, config.architectures),
         metadata={
@@ -256,8 +261,8 @@ def run_benchmark(config: BenchConfig | None = None) -> BenchResult:
             "config_digest": config.digest(),
             "fixture_digest": EXPECTED_FIXTURE_DIGEST,
         },
+        scenarios=loaded,
     )
-    return result
 
 
 def run_architecture(
@@ -297,10 +302,12 @@ def _run_one(scenario: Scenario, arch: str) -> BenchRow:
 
 
 def diff_against_fixtures(result: BenchResult) -> list[str]:
-    """Compare each cell against the embedded expected values.  Returns a
-    list of human-readable discrepancies; empty means fixture-clean."""
+    """Compare each cell against the embedded expected values, read from
+    the scenarios the result was made with (loaded here if it has none).
+    Returns a list of human-readable discrepancies; empty means
+    fixture-clean."""
     problems: list[str] = []
-    scenarios = {s.id: s for s in load_scenarios()}
+    scenarios = result.scenarios or {s.id: s for s in load_scenarios()}
     for row in result.rows:
         for cell, want in scenarios[row.scenario].expected[row.arch].items():
             got = getattr(row, cell)

@@ -38,10 +38,13 @@ def _check_ms(name: str, value: float) -> None:
 
 
 class SimClock:
-    """Monotone simulated time in milliseconds; advances only by explicit tick."""
+    """Monotone simulated time in milliseconds; advances only by explicit
+    tick.  The start, ``now_ms``, must be an int >= 0 (``OutOfRange``)."""
 
     def __init__(self, now_ms: int = 0):
-        self._now = int(now_ms)
+        if type(now_ms) is not int or now_ms < 0:
+            raise OutOfRange(f"now_ms must be an int >= 0, got {now_ms!r}")
+        self._now = now_ms
         self._carry_ns = 0  # nanoseconds advanced but not yet a whole millisecond of ``now``
 
     @property

@@ -3,11 +3,12 @@
 The loop: route with shortest-path search, invoke tools along the route,
 and on any failure quarantine the offending nodes and recompute the route
 from the last completed position, skipping finished work wherever the new
-route passes it.  The pluggable reasoner is consulted only when no route
-exists (goal demotion, then escalation) or when a risk signal wins the
-monitor competition.  Every run terminates in exactly one of two states:
-SUCCESS with the executed route, or ESCALATED with an explicit
-demotion/handoff record.
+route passes it.  Finished work is never blocked, even once quarantined, so
+a tool that goes down after it succeeded strands nothing.  The pluggable
+reasoner is consulted only when no route exists (goal demotion, then
+escalation) or when a risk signal wins the monitor competition.  Every run
+terminates in exactly one of two states: SUCCESS with the executed route,
+or ESCALATED with an explicit demotion/handoff record.
 
 Monitors sweep before the initial route and before every step.  A failed
 call triggers an immediate sweep, and the failed tool joins the outages that
@@ -301,6 +302,13 @@ def execute_task(
         trace.quarantined = trace.quarantined.union(nodes)
         trace.log(clock.now, "quarantine", tools=sorted(nodes))
 
+    def blocked() -> frozenset[str]:
+        """The blocked set of a search from ``position``: the quarantined
+        tools the task has not finished.  A tool quarantined after it
+        succeeded blocks no route onward, and it is never invoked again:
+        the walk skips finished work wherever a route passes it."""
+        return trace.quarantined - trace.completed
+
     def escalate(kind: str, note: str) -> None:
         trace.status = TraceStatus.ESCALATED
         trace.resolution = {"kind": kind, "note": note}
@@ -309,11 +317,12 @@ def execute_task(
     def consult(kind: str, detail: str) -> RoutePath | None:
         """The one reasoner call site.  A demotion query answered with an
         untried rung of the ladder makes that rung the active goal and
-        returns its route; a rung that is unroutable is followed by one
-        escalation query.  Any other reply ends the run as ESCALATED and
-        returns None, as kind ``bad_reply`` unless it is a ``DemotedGoal``
-        or an ``Escalate`` with a non-empty ``str`` note; a reasoner's
-        exception propagates.  This loops rather than recursing: a recursive
+        returns its route, searched from ``position`` around the unfinished
+        quarantined tools (``blocked``); a rung that is unroutable is
+        followed by one escalation query.  Any other reply ends the run as
+        ESCALATED and returns None, as kind ``bad_reply`` unless it is a
+        ``DemotedGoal`` or an ``Escalate`` with a non-empty ``str`` note; a
+        reasoner's exception propagates.  This loops rather than recursing: a recursive
         closure would form a reference cycle that keeps the task's state
         alive until a garbage collection.  A bad lane edge is first searched
         over, so raised, by the demotion search of the rung that brought it."""
@@ -344,7 +353,7 @@ def execute_task(
             ladder_index = goal.ladder.index(option) + 1
             lane += option.extra_edges
             try:
-                route = graph.shortest_path(position, option.goal_node, lane, trace.quarantined)
+                route = graph.shortest_path(position, option.goal_node, lane, blocked())
             except BadLaneEdge as exc:
                 raise BadLaneEdge(f"demotion rung {option.goal_id!r}: {exc}") from None
             if route is not None:
@@ -361,9 +370,13 @@ def execute_task(
     def recover(batch: list[str], detail: str) -> RoutePath | None:
         """The recovery step: quarantine the batch, recompute once from the
         last completed node, and on a null route consult once for a
-        demotion.  Returns the route to resume on, or None once escalated."""
+        demotion.  The recompute blocks only unfinished quarantined tools
+        (``blocked``), so a quarantine of work already done, the last
+        completed node included, never forces a consult while a route
+        onward exists.  Returns the route to resume on, or None once
+        escalated."""
         quarantine(batch)
-        route = graph.shortest_path(position, goal_node, lane, trace.quarantined)
+        route = graph.shortest_path(position, goal_node, lane, blocked())
         trace.failure_recomputes += 1
         if route is None:
             trace.log(clock.now, "route_exhausted", source=position, goal=goal_node)

@@ -159,6 +159,14 @@ class TestConfig:
         with pytest.raises(OutOfRange):
             SimClock().advance(-5)
 
+    @pytest.mark.parametrize("start", [float("nan"), -5, 1.9, 7.0, "7", True, None])
+    def test_clock_start_must_be_a_whole_millisecond_from_zero(self, start):
+        with pytest.raises(OutOfRange, match=r"^now_ms must be an int >= 0"):
+            SimClock(start)
+
+    def test_clock_starts_at_any_int_from_zero(self):
+        assert SimClock().now == 0 and SimClock(0).now == 0 and SimClock(7).now == 7
+
     @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
     def test_clock_rejects_non_finite_ticks(self, delta):
         clock = SimClock(7)

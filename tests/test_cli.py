@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from conftest import count_calls
+from toolrouter import scenarios
 from toolrouter.bench import ARCHITECTURES, run_benchmark
 from toolrouter.cli import main
 from toolrouter.scenarios import SCENARIO_IDS
@@ -104,6 +106,19 @@ class TestBench:
         assert main(["bench"]) == 0
         out = capsys.readouterr().out
         assert "Self-Healing Router | 19/19" in out
+
+    def test_one_scenario_load_per_command(self, tmp_path, monkeypatch, capsys):
+        # A command's run or parse and both of its diffs (the report's and
+        # the exit code's) share one read and check of the 19 files.
+        path = tmp_path / "res.json"
+        assert main(["bench", "--save", str(path), "--out", str(tmp_path / "report.md")]) == 0
+        for argv in (["bench", "--diff"], ["report", "--in", str(path), "--diff"]):
+            parsed = count_calls(monkeypatch, scenarios, "_parse_scenario")
+            checked = count_calls(monkeypatch, scenarios, "fixture_digest")
+            assert main(argv) == 0
+            assert "clean: every cell matches" in capsys.readouterr().out
+            assert (parsed[0], checked[0]) == (len(SCENARIO_IDS), 1), argv
+            monkeypatch.undo()
 
     def test_subset_and_json(self, capsys):
         assert main(["bench", "--scenario", "S1", "S2", "--arch", "shr", "--format", "json"]) == 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import brute_force_shortest
 from toolrouter.bench import random_schedule
 from toolrouter.calibration import BreakerPhase, SimClock, ToolCalibration, ToolState
 from toolrouter.graph import BadLaneEdge, GraphError, ToolGraph
@@ -248,6 +249,22 @@ class TestRecovery:
             ("A", True), ("B", True), ("D", False), ("X", True), ("C", True),
         ]
         assert trace.status is TraceStatus.SUCCESS and trace.recovery_events == 1
+        assert timeline_violations(trace) == []
+
+    def test_a_finished_tool_that_goes_down_strands_nothing(self):
+        # crm succeeds, then a probe sees its outage (from the first call
+        # attempt on) and it is quarantined.  The search from crm blocks only
+        # unfinished tools, so the task reroutes on from crm and finishes
+        # without a consult; crm is passed, not called again.
+        topo = build_topology(TopologyKind.LINEAR_PIPELINE)
+        schedule = FaultSchedule((FaultEntry("crm", FaultEffect.FAIL_AT_STEP, probe_visible=True, at_step=1),))
+        trace = run_schedule(topo, schedule, TaskRequest(text="refund order 5"))
+        assert trace.status is TraceStatus.SUCCESS and trace.llm_calls == 0
+        assert [c.node for c in trace.tool_calls] == ["crm", "stripe", "email"]
+        assert [ev["tools"] for ev in events(trace, "probe_detected", "quarantine")] == [["crm"], ["crm"]]
+        assert [ev["path"][0] for ev in events(trace, "reroute")] == ["crm"]
+        assert not events(trace, *NULL_ROUTE_EVENTS)
+        assert trace.quarantined == {"crm"} and trace.recovery_events == 1
         assert timeline_violations(trace) == []
 
     def test_success_calls_avoid_quarantined_nodes(self):
@@ -636,6 +653,57 @@ def timeline_violations(trace) -> list[str]:
     return problems
 
 
+def with_lane(graph: ToolGraph, lane) -> ToolGraph:
+    """An unfrozen copy of ``graph`` with each lane edge added unless the
+    two nodes are already linked: the graph's edge, then the earliest lane
+    edge, wins."""
+    copy = ToolGraph()
+    for node in graph.nodes:
+        copy.add_node(node, sentinel=node in graph.sentinels)
+    for edge in graph.edges():
+        copy.add_edge(edge.src, edge.dst, edge.weight)
+    for src, dst, weight in lane:
+        if not copy.has_edge(src, dst):
+            copy.add_edge(src, dst, weight)
+    return copy
+
+
+def avoidable_consults(trace, graph: ToolGraph, goal: TaskGoal, start: str = START) -> list[str]:
+    """Replay a trace's quarantines, successful calls and demotion lanes,
+    and check each null route it consulted on (``route_exhausted``,
+    ``demotion_unroutable``) against ``brute_force_shortest``: the source
+    must be the start or a finished tool, and no route may lead from it to
+    the searched goal around the quarantined tools that never succeeded.  A
+    ``demotion_unroutable`` is searched from the source of the
+    ``route_exhausted`` that opened its consult."""
+    rungs = {o.goal_id: o for o in goal.ladder}
+    succeeded: set[str] = set()
+    quarantined: set[str] = set()
+    lane: tuple = ()
+    source = start
+    problems = []
+    for ev in trace.events:
+        kind = ev["event"]
+        if kind == "quarantine":
+            quarantined.update(ev["tools"])
+        elif kind == "tool_call" and ev["success"]:
+            succeeded.add(ev["node"])
+        elif kind in ("demoted", "demotion_unroutable"):  # a tried rung's edges join the lane
+            lane += rungs[ev["goal"]].extra_edges
+        if kind == "route_exhausted":
+            source, target = ev["source"], ev["goal"]
+            if source != start and source not in succeeded:
+                problems.append(f"route_exhausted at {ev['t_ms']} ms from {source}, which is not finished")
+        elif kind == "demotion_unroutable":
+            target = rungs[ev["goal"]].goal_node
+        else:
+            continue
+        route = brute_force_shortest(with_lane(graph, lane), source, target, quarantined - succeeded)
+        if route is not None:
+            problems.append(f"{kind} at {ev['t_ms']} ms: {source} -> {target} has a route {'/'.join(route[1])}")
+    return problems
+
+
 class TestGeneratedRunInvariants:
     def test_invariants_hold_over_random_schedules(self):
         rng = random.Random(20261017)
@@ -652,6 +720,7 @@ class TestGeneratedRunInvariants:
             trace = run_schedule(topo, schedule, request)
             assert trace.status in (TraceStatus.SUCCESS, TraceStatus.ESCALATED)
             assert timeline_violations(trace) == [], (i, schedule)
+            assert avoidable_consults(trace, topo.fresh_graph(), topo.goal) == [], (i, schedule)
             outcomes.add((trace.status, bool(trace.demotions), trace.recovery_events > 0))
             digest = zlib.crc32(trace.to_json().encode(), digest)
         # The schedules reach every kind of ending, so the replay saw reroutes,
@@ -661,8 +730,11 @@ class TestGeneratedRunInvariants:
         # change to trace semantics or to random_schedule must update this
         # value and say why.  c1a66bce -> c4e818be: the intent monitor is
         # gone, so an idle pre-route sweep logs tool_health 0.10 as its
-        # monitor_winner; no other line of any trace moved.
-        assert f"{digest:08x}" == "c4e818be"
+        # monitor_winner; no other line of any trace moved.  c4e818be ->
+        # f2cc5add: the recovery and demotion searches no longer block
+        # finished work, so a run whose completed tool is quarantined
+        # afterwards reroutes from it instead of consulting the reasoner.
+        assert f"{digest:08x}" == "f2cc5add"
 
 
 class TestDemotionLanes:
@@ -727,7 +799,7 @@ class TestDemotionLanes:
         trace, _ = run_support(down={"stripe", "razorpay"}, goal=TaskGoal("issue_refund", "goal_refund", ladder=(rung,)))
         assert trace.status is TraceStatus.SUCCESS and trace.final_goal == "issue_store_credit"
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.data())
     def test_random_ladders_end_in_a_terminal_state(self, data):
         """Random graphs with lane ladders, both fault effects (some
@@ -800,4 +872,5 @@ class TestDemotionLanes:
         else:
             assert trace.status is TraceStatus.ESCALATED and trace.resolution["kind"] and trace.resolution["note"]
         assert timeline_violations(trace) == []
+        assert avoidable_consults(trace, graph, goal) == []
         assert graph.to_json() == before and graph.quarantined == set()

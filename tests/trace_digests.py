@@ -43,11 +43,16 @@ WORKLOAD_TASKS = {"paper_fuzz": 3_000, "wide_catalog": 400, "long_session": 6_00
 # 8d35fffd -> ae8d248a, 9ba40b32 -> 1dff1bbb: the intent monitor is gone, so
 # an idle pre-route sweep logs tool_health 0.10 as its monitor_winner.  With
 # monitor_winner events stripped, every trace is byte-identical to before.
+# Then fb4af7ee -> 91bebc44, 8cd2fdc8 -> af165cd7, ae8d248a -> bd9a16b1: the
+# recovery and demotion searches no longer block finished work, so a task
+# whose completed tool is quarantined afterwards reroutes from it instead of
+# consulting the reasoner (run_fuzz(1000, 42): success 718 -> 775, llm_calls
+# 520 -> 420).  No fixture or long_session trace moved.
 EXPECTED = {
     "fixtures": "d644cef3",
-    "fuzz": "fb4af7ee",
-    "paper_fuzz": "8cd2fdc8",
-    "wide_catalog": "ae8d248a",
+    "fuzz": "91bebc44",
+    "paper_fuzz": "af165cd7",
+    "wide_catalog": "bd9a16b1",
     # Earlier, 8141714d -> 9ba40b32: SimClock.advance carries fractional
     # milliseconds instead of dropping them; only long_session feeds them.
     "long_session": "1dff1bbb",
