@@ -14,9 +14,12 @@ inputs always produce identical paths.
 A frozen graph (``freeze``) refuses writes and keeps a route memo (Michie's
 memo functions, 1968): a route is a pure function of the adjacency, the
 source, the goal, the blocked set and the lane, so a search asked again
-with the same ones is a lookup.  The memo holds at most
-``ROUTE_MEMO_ENTRIES`` routes and is cleared when full; a graph that was
-never frozen stays writable, keeps none and computes every route.
+with the same ones is a lookup.  Only blocked nodes that lie on some
+source-to-goal walk over the adjacency and the lane can change the route,
+so the memo is keyed by those alone; the set of such nodes is kept per
+source, goal and lane in a span memo beside it.  Each holds at most
+``ROUTE_MEMO_ENTRIES`` entries and is cleared when full; a graph that was
+never frozen stays writable, keeps neither and computes every route.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Iterable, Iterator, KeysView
 from .errors import ToolrouterError
 
 INFINITE = math.inf
-ROUTE_MEMO_ENTRIES = 256  # routes kept per shared adjacency; cleared when full
+ROUTE_MEMO_ENTRIES = 256  # entries kept per memo of a shared adjacency; cleared when full
 _UNSEEN = object()
 
 
@@ -71,6 +74,15 @@ class RoutePath:
     total_cost: float
 
 
+def _remember(memo: dict, key: tuple, value):
+    """Store ``value`` under ``key``, clearing ``memo`` first if it holds
+    ``ROUTE_MEMO_ENTRIES`` entries; returns ``value``."""
+    if len(memo) >= ROUTE_MEMO_ENTRIES:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 class ToolGraph:
     """A topology's nodes and edges.  ``sentinels`` marks start/goal markers
     that are routable but never invoked as tools.  A graph holds no task
@@ -80,9 +92,11 @@ class ToolGraph:
     ``freeze`` makes a built graph read-only, so one graph per topology can
     serve every task: ``add_node``, ``add_edge`` and ``quarantine_node``
     then raise ``GraphError``.  A search on a frozen graph writes only its
-    route memo, keyed by ``(source, goal, blocked, lane)``, whose every
-    value is a pure function of its key, so searches may run on distinct
-    threads (racing writers may each add one route past the cap).
+    route memo, keyed by ``(source, goal, blocked, lane)`` with ``blocked``
+    cut to the nodes between the two (``_between``), and its span memo of
+    those nodes, keyed by ``(source, goal, lane)``.  Every value of either
+    is a pure function of its key, so searches may run on distinct threads
+    (racing writers may each add one entry past the cap).
     """
 
     def __init__(self) -> None:
@@ -90,12 +104,14 @@ class ToolGraph:
         self.nodes: KeysView[str] = self._out.keys()
         self.sentinels: set[str] = set()
         self._routes: dict[tuple, RoutePath | None] | None = None  # the route memo; a graph with one is frozen
+        self._spans: dict[tuple, frozenset[str]] | None = None  # (source, goal, lane) -> _between's nodes, kept once frozen
         self.quarantined: set[str] = set()  # blocked in every search; see ``quarantine_node``
 
     def freeze(self) -> ToolGraph:
-        """Refuse writes from now on and keep a route memo; returns the graph."""
+        """Refuse writes from now on and keep the route and span memos;
+        returns the graph."""
         if self._routes is None:
-            self._routes = {}
+            self._routes, self._spans = {}, {}
         return self
 
     # -- construction -------------------------------------------------
@@ -164,9 +180,12 @@ class ToolGraph:
         """Minimum-cost path through no ``blocked`` node, or None if no route.
 
         ``lane`` holds extra ``(src, dst, weight)`` edges to route over too
-        (see ``_overlay``).  On a frozen graph, a route already found with
-        the same blocked set and lane is read from the memo; otherwise it
-        is computed (``_search``).
+        (see ``_overlay``).  On a frozen graph, ``blocked`` is first cut to
+        the nodes that lie on some source-to-goal walk (``_between``): the
+        route never passes any other node, nor settles one at a distance
+        the route reads.  A route already found with the same cut blocked
+        set and lane is read from the memo; otherwise it is computed
+        (``_search``).
         """
         for n in (source, goal):
             if n not in self.nodes:
@@ -180,13 +199,16 @@ class ToolGraph:
         memo = self._routes
         if memo is None:
             return self._search(source, goal, lane, blocked)
+        if blocked:
+            ends = (source, goal, lane)
+            between = self._spans.get(ends)
+            if between is None:
+                between = _remember(self._spans, ends, self._between(source, goal, lane))
+            blocked &= between
         key = (source, goal, blocked, lane)
         route = memo.get(key, _UNSEEN)
         if route is _UNSEEN:
-            route = self._search(source, goal, lane, blocked)
-            if len(memo) >= ROUTE_MEMO_ENTRIES:
-                memo.clear()
-            memo[key] = route
+            route = _remember(memo, key, self._search(source, goal, lane, blocked))
         return route
 
     def _search(self, source: str, goal: str, lane: tuple, blocked: frozenset[str]) -> RoutePath | None:
@@ -248,6 +270,33 @@ class ToolGraph:
         for u, v in zip(path, path[1:]):
             total += out[u][v]
         return RoutePath(tuple(path), total)
+
+    def _between(self, source: str, goal: str, lane: tuple) -> frozenset[str]:
+        """The nodes on some ``source``-to-``goal`` walk over the adjacency
+        with ``lane`` overlaid: those reached from the source that reach the
+        goal.  Every node a route passes is one, and so is every node on a
+        cheapest path to one of them, so blocking any other node changes
+        neither a settled distance the route reads nor the set of
+        minimum-cost routes."""
+        out = self._overlay(lane) if lane else self._out
+        into: dict[str, list[str]] = {}  # the reached part of the adjacency, reversed
+        reached, stack = {source}, [source]
+        while stack:
+            node = stack.pop()
+            for nxt in out[node]:
+                into.setdefault(nxt, []).append(node)
+                if nxt not in reached:
+                    reached.add(nxt)
+                    stack.append(nxt)
+        if goal not in reached:
+            return frozenset()
+        found, stack = {goal}, [goal]
+        while stack:
+            for prev in into.get(stack.pop(), ()):
+                if prev not in found:
+                    found.add(prev)
+                    stack.append(prev)
+        return frozenset(found)
 
     def _overlay(self, lane: tuple) -> dict[str, dict[str, float]]:
         """The adjacency with each lane edge added to a copy of its source's

@@ -65,18 +65,47 @@ class UnknownTool(ScenarioError):
     pass
 
 
+class BadFaultEntry(ScenarioError):
+    """A ``FaultEntry`` field holds a value it may not; the message starts
+    with the field's name."""
+
+
 class FaultEffect(Enum):
     DOWN_FROM_START = "DOWN_FROM_START"
     FAIL_AT_STEP = "FAIL_AT_STEP"
 
 
+FAULT_KINDS = ("timeout", "error_response", "connection_refused")
+_FAIL_AT_STEP = FaultEffect.FAIL_AT_STEP  # read once: a member read through its Enum class is a slow attribute lookup
+
+
 @dataclass(frozen=True, slots=True)
 class FaultEntry:
+    """One tool's outage.  Checked when made (``BadFaultEntry``): a
+    FAIL_AT_STEP entry needs an ``at_step`` >= 1 (at 0 it would be
+    DOWN_FROM_START), and any other effect has ``at_step`` 0."""
+
     tool: str
     effect: FaultEffect
-    kind: str = "error_response"  # timeout | error_response | connection_refused
+    kind: str = "error_response"  # one of FAULT_KINDS
     probe_visible: bool = False
     at_step: int = 0  # FAIL_AT_STEP: down once this many call attempts happened
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.tool, str) and self.tool):
+            raise BadFaultEntry(f"tool must be a non-empty string, got {self.tool!r}")
+        if not isinstance(self.effect, FaultEffect):
+            raise BadFaultEntry(f"effect must be a FaultEffect, got {self.effect!r}")
+        if self.kind not in FAULT_KINDS:  # a tuple, so an unhashable value compares unequal
+            raise BadFaultEntry(f"kind must be one of {', '.join(FAULT_KINDS)}, got {self.kind!r}")
+        if type(self.probe_visible) is not bool:
+            raise BadFaultEntry(f"probe_visible must be a boolean, got {self.probe_visible!r}")
+        at_step = self.at_step
+        if self.effect is _FAIL_AT_STEP:
+            if type(at_step) is not int or at_step < 1:
+                raise BadFaultEntry(f"at_step must be an integer >= 1 on FAIL_AT_STEP, got {at_step!r}")
+        elif type(at_step) is not int or at_step != 0:
+            raise BadFaultEntry(f"at_step must be 0 on {self.effect.value}, got {at_step!r}")
 
     def active(self, attempts: int) -> bool:
         if self.effect is FaultEffect.FAIL_AT_STEP:
@@ -201,28 +230,23 @@ def _choice(value: object, name: str, allowed: tuple[str, ...]) -> str:
 
 
 _EFFECTS = tuple(effect.value for effect in FaultEffect)
-FAULT_KINDS = ("timeout", "error_response", "connection_refused")
 
 
 def _fault(e: object, name: str) -> FaultEntry:
-    """One fault entry; FAIL_AT_STEP needs an ``at_step`` >= 1 (at 0 it
-    would be DOWN_FROM_START), and no other effect may have one."""
+    """One fault entry.  The file gives ``at_step`` on FAIL_AT_STEP and on
+    no other effect; ``FaultEntry`` checks the values."""
     e = _object(e, name)
     tool = _string(e["tool"], f"{name}.tool")
     effect = FaultEffect(_choice(e["effect"], f"{name}.effect", _EFFECTS))
     at_step = _cell(e, f"{name}.at_step") if "at_step" in e else None
-    if effect is FaultEffect.FAIL_AT_STEP and not at_step:
-        got = "it is missing" if at_step is None else f"got {at_step}"
-        raise ValueError(f"{name}.at_step must be an integer >= 1 on FAIL_AT_STEP, {got}")
+    if at_step is None and effect is FaultEffect.FAIL_AT_STEP:
+        raise ValueError(f"{name}.at_step must be an integer >= 1 on FAIL_AT_STEP, it is missing")
     if at_step is not None and effect is not FaultEffect.FAIL_AT_STEP:
         raise ValueError(f"{name}.at_step applies only to FAIL_AT_STEP, not {effect.value}")
-    return FaultEntry(
-        tool=tool,
-        effect=effect,
-        kind=_choice(e.get("kind", "error_response"), f"{name}.kind", FAULT_KINDS),
-        probe_visible=_cell(e, f"{name}.probe_visible", bool) if "probe_visible" in e else False,
-        at_step=at_step or 0,
-    )
+    try:
+        return FaultEntry(tool, effect, e.get("kind", "error_response"), e.get("probe_visible", False), at_step or 0)
+    except BadFaultEntry as exc:
+        raise ValueError(f"{name}.{exc}") from exc
 
 
 # Every fixture cell: the architecture and the ``BenchRow`` field it checks,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import brute_force_shortest
+from oracle import brute_force_shortest, enumerate_paths
 from toolrouter.graph import (
     INFINITE,
     ROUTE_MEMO_ENTRIES,
@@ -144,14 +144,15 @@ class TestShortestPath:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.data())
     def test_search_sequences_match_brute_force(self, data):
-        """Quarantines (some of a node on the last route, then a reroute),
-        demotion lanes and goal changes between searches from random
-        sources, over tie-prone weights, by two tasks on one frozen graph.
-        Every question is asked by both tasks, each with its own blocked
-        set and lane: they share one route memo keyed by both, so the
-        oracle checks memo hits and misses.  The oracle's graph is an
-        unfrozen copy with the task's lane wired in, the first edge between
-        two nodes winning."""
+        """Quarantines (some of a node on the last route, then a reroute;
+        some of a node or name that no source -> goal path passes, which
+        leaves the route as it was), demotion lanes and goal changes
+        between searches from random sources, over tie-prone weights, by
+        two tasks on one frozen graph.  Every question is asked by both
+        tasks, each with its own blocked set and lane: they share one route
+        memo keyed by both, so the oracle checks memo hits and misses.  The
+        oracle's graph is an unfrozen copy with the task's lane wired in,
+        the first edge between two nodes winning."""
         names = [f"n{i}" for i in range(data.draw(st.integers(2, 9), label="nodes"))]
         pairs = [(a, b) for a in names for b in names if a != b]
         node, pair, weight = st.sampled_from(names), st.sampled_from(pairs), st.sampled_from((0.5, 1.0, 2.0, 3.0))
@@ -185,11 +186,17 @@ class TestShortestPath:
             return routes
 
         routes = ask()
-        steps = st.sampled_from(("quarantine", "fail", "lane", "goal", "search", "search"))
+        steps = st.sampled_from(("quarantine", "fail", "off", "lane", "goal", "search", "search"))
         for step in data.draw(st.lists(steps, min_size=1, max_size=12), label="steps"):
             side = data.draw(st.integers(0, 1), label="task")
             if step == "quarantine":
                 blocked[side] |= {data.draw(node)}
+            elif step == "off":  # a node no source -> goal path passes, or a name that is no node
+                on = {n for _, path in enumerate_paths(build(lanes[side]), source, goal) for n in path}
+                before = shared.shortest_path(source, goal, lanes[side], blocked[side])
+                blocked[side] |= {data.draw(st.sampled_from([n for n in names if n not in on] + ["ghost"]))}
+                routes = ask()
+                assert routes[side] == before
             elif step == "fail":  # a tool on this task's route fails: quarantine it, reroute
                 route = routes[side]
                 if route is not None and len(route.nodes) > 2:
@@ -366,18 +373,26 @@ class TestRouteMemo:
     def test_memo_hits_skip_the_search(self, monkeypatch):
         computed = count_calls(monkeypatch, ToolGraph, "_search")  # routes computed, not read from the memo
         g = ToolGraph()
-        for name in ("a", "b", "q", "z"):
+        for name in ("a", "b", "c", "d", "q", "z"):
             g.add_node(name)
-        g.add_edge("a", "b", 1.0)
-        g.add_edge("b", "z", 1.0)
+        for src, dst, w in (("a", "b", 1.0), ("b", "z", 1.0), ("a", "c", 2.0), ("c", "z", 2.0), ("q", "a", 1.0), ("a", "d", 1.0)):
+            g.add_edge(src, dst, w)
         g.freeze()
         first = g.shortest_path("a", "z")
         assert g.shortest_path("a", "z") is first and computed[0] == 1
-        # A blocked set that is not a frozenset is converted, so it hits the same entry.
-        blocked = g.shortest_path("a", "z", (), frozenset({"q"}))
-        assert blocked == first and computed[0] == 2
-        assert g.shortest_path("a", "z", (), ["q"]) is g.shortest_path("a", "z", (), {"q"}) is blocked
-        assert computed[0] == 2
+        # No a -> z walk passes q (a never reaches it), d (it never reaches z)
+        # or x (no node at all), so blocking them asks the same question: a
+        # hit, whatever iterable holds them.
+        assert g.shortest_path("a", "z", (), frozenset({"q"})) is first and computed[0] == 1
+        assert g.shortest_path("a", "z", (), ["q", "d"]) is g.shortest_path("a", "z", (), {"x"}) is first
+        assert computed[0] == 1
+        # One passes b, so blocking b computes; q beside it is then a hit.
+        detour = g.shortest_path("a", "z", (), frozenset({"b"}))
+        assert detour.nodes == ("a", "c", "z") and computed[0] == 2
+        assert g.shortest_path("a", "z", (), ("q", "b")) is detour and computed[0] == 2
+        # Every q -> z walk passes q's only successor a: blocking it computes.
+        assert g.shortest_path("q", "z", (), {"d"}).nodes == ("q", "a", "b", "z") and computed[0] == 3
+        assert g.shortest_path("q", "z", (), {"a"}) is None and computed[0] == 4
 
     def test_lane_of_one_task_leaves_the_other_untouched(self, monkeypatch):
         base = BUILDERS[TopologyKind.LINEAR_PIPELINE]().freeze()
@@ -397,6 +412,20 @@ class TestRouteMemo:
         assert again is base.shortest_path(START, "goal_refund", lane, stripe)
         assert again.nodes == laned and computed[0] == 0
 
+    def test_a_lane_edge_puts_its_nodes_between(self):
+        """c joins an a -> z walk only through the lane, so blocking it
+        must still send that lane's route round it."""
+        g = ToolGraph()
+        for name in ("a", "b", "c", "z"):
+            g.add_node(name)
+        g.add_edge("a", "b", 1.0)
+        g.add_edge("b", "z", 1.0)
+        g.freeze()
+        lane = (("a", "c", 0.5), ("c", "z", 0.5))
+        assert g.shortest_path("a", "z", (), {"c"}).nodes == ("a", "b", "z")
+        assert g.shortest_path("a", "z", lane).nodes == ("a", "c", "z")
+        assert g.shortest_path("a", "z", lane, {"c"}).nodes == ("a", "b", "z")
+
     def test_memo_is_capped(self):
         names = [f"n{i:02d}" for i in range(20)]
         g = ToolGraph()
@@ -413,7 +442,7 @@ class TestRouteMemo:
             assert (route.total_cost, route.nodes) == brute_force_shortest(g, source, goal)
 
     def test_threads_read_and_write_one_memo(self):
-        names = [f"n{i:02d}" for i in range(12)]
+        names = [f"n{i:02d}" for i in range(20)]  # more (source, goal) pairs than either memo holds
 
         def ring() -> ToolGraph:
             g = ToolGraph()
@@ -449,6 +478,7 @@ class TestRouteMemo:
         assert not any(t.is_alive() for t in threads) and errors == []
         # a writer checks the size, then stores: racing writers may each add one past the cap
         assert 0 < len(shared._routes) <= ROUTE_MEMO_ENTRIES + workers
+        assert 0 < len(shared._spans) <= ROUTE_MEMO_ENTRIES + workers
 
     def test_unfrozen_graph_keeps_no_memo(self, monkeypatch):
         computed = count_calls(monkeypatch, ToolGraph, "_search")  # routes computed, not read from the memo

@@ -830,15 +830,12 @@ class TestDemotionLanes:
         goal = TaskGoal("goal", "goal", ladder=ladder)
         graph = base.freeze() if data.draw(st.booleans(), label="frozen") else base
         before = graph.to_json()
-        entries = [
-            FaultEntry(
-                tool,
-                data.draw(st.sampled_from(FaultEffect), label="effect"),
-                probe_visible=data.draw(st.booleans(), label="probe_visible"),
-                at_step=data.draw(st.integers(0, 4), label="at_step"),
-            )
-            for tool in data.draw(st.lists(st.sampled_from(tools), min_size=1, max_size=3, unique=True), label="down")
-        ]
+        entries = []
+        for tool in data.draw(st.lists(st.sampled_from(tools), min_size=1, max_size=3, unique=True), label="down"):
+            effect = data.draw(st.sampled_from(FaultEffect), label="effect")
+            probe_visible = data.draw(st.booleans(), label="probe_visible")
+            at_step = data.draw(st.integers(1, 4), label="at_step") if effect is FaultEffect.FAIL_AT_STEP else 0
+            entries.append(FaultEntry(tool, effect, probe_visible=probe_visible, at_step=at_step))
         schedule = FaultSchedule(tuple(entries))
         amount = data.draw(st.sampled_from((None, None, 50_000.0)), label="amount")
         request = TaskRequest(text="lanes", amount=amount, risk_visible_after=data.draw(st.integers(0, 3)))

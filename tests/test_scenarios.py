@@ -18,10 +18,12 @@ from toolrouter.scenarios import (
     HARD_FAILURE,
     PROBE_LATENCY_MS,
     TOOL_CALL_LATENCY_MS,
+    BadFaultEntry,
     FaultEffect,
     FaultEntry,
     FaultSchedule,
     FixtureCorrupt,
+    ScenarioError,
     ScheduledInvoker,
     ScheduledProber,
     UnknownTool,
@@ -272,6 +274,33 @@ class TestFaultSchedules:
         assert not invoker.invoke("stripe", clock).success
         assert invoker.invoke("crm", clock) is first and ScheduledInvoker(FaultSchedule()).invoke("crm", clock) is first
 
+    @pytest.mark.parametrize(
+        "fields, names",
+        [
+            ({"effect": FaultEffect.FAIL_AT_STEP}, "at_step must be an integer >= 1 on FAIL_AT_STEP, got 0"),
+            ({"effect": FaultEffect.FAIL_AT_STEP, "at_step": 2.0}, "at_step must be an integer >= 1 on FAIL_AT_STEP, got 2.0"),
+            ({"effect": FaultEffect.FAIL_AT_STEP, "at_step": True}, "at_step must be an integer >= 1 on FAIL_AT_STEP, got True"),
+            ({"at_step": 3}, "at_step must be 0 on DOWN_FROM_START, got 3"),
+            ({"at_step": False}, "at_step must be 0 on DOWN_FROM_START, got False"),
+            ({"tool": ""}, "tool must be a non-empty string, got ''"),
+            ({"tool": ["stripe"]}, "tool must be a non-empty string, got ['stripe']"),
+            ({"effect": "DOWN_FROM_START"}, "effect must be a FaultEffect, got 'DOWN_FROM_START'"),
+            ({"kind": "rate_limited"}, "kind must be one of timeout, error_response, connection_refused, got 'rate_limited'"),
+            ({"kind": ["timeout"]}, "kind must be one of timeout, error_response, connection_refused, got ['timeout']"),
+            ({"probe_visible": 1}, "probe_visible must be a boolean, got 1"),
+        ],
+        ids=[
+            "at_step_zero", "at_step_float", "at_step_bool", "at_step_on_down", "at_step_false_on_down",
+            "tool_empty", "tool_type", "effect_type", "kind_unknown", "kind_unhashable", "probe_visible_type",
+        ],
+    )
+    def test_bad_fault_entry_names_the_field(self, fields, names):
+        """A FAIL_AT_STEP entry at step 0 would act as DOWN_FROM_START;
+        every such entry is refused when made, not when replayed."""
+        with pytest.raises(BadFaultEntry, match="^" + re.escape(names)) as err:
+            FaultEntry(**{"tool": "stripe", "effect": FaultEffect.DOWN_FROM_START, **fields})
+        assert isinstance(err.value, ScenarioError)
+
     def test_fault_values_keep_no_attribute_dict(self):
         """A workload holds thousands of schedules for its whole run."""
         entry = FaultEntry("stripe", FaultEffect.FAIL_AT_STEP, at_step=2)
@@ -326,19 +355,22 @@ class TestScheduledReplay:
     @given(st.data())
     def test_invoker_and_prober_match_the_reference_loops(self, data):
         """Random schedules with both effects, mixed probe visibility and
-        at_step 0-5, replayed through interleaved calls and scans: the
-        invoker and prober give the same outcomes, attempt counts, opened
-        lists and breaker phases as the loops that read every entry."""
+        at_step 1-5 on FAIL_AT_STEP, replayed through interleaved calls and
+        scans: the invoker and prober give the same outcomes, attempt
+        counts, opened lists and breaker phases as the loops that read
+        every entry."""
         topo = build_topology(data.draw(st.sampled_from(list(TopologyKind))))
         graph = topo.fresh_graph()
         tools = graph.tool_nodes()
-        entry = st.builds(
-            FaultEntry,
-            tool=st.sampled_from(tools),
-            effect=st.sampled_from(list(FaultEffect)),
-            kind=st.sampled_from(["timeout", "error_response", "connection_refused"]),
-            probe_visible=st.booleans(),
-            at_step=st.integers(0, 5),
+        entry = st.sampled_from(list(FaultEffect)).flatmap(
+            lambda effect: st.builds(
+                FaultEntry,
+                tool=st.sampled_from(tools),
+                effect=st.just(effect),
+                kind=st.sampled_from(["timeout", "error_response", "connection_refused"]),
+                probe_visible=st.booleans(),
+                at_step=st.integers(1, 5) if effect is FaultEffect.FAIL_AT_STEP else st.just(0),
+            )
         )
         schedule = FaultSchedule(tuple(data.draw(st.lists(entry, max_size=5))))
         ops = data.draw(st.lists(st.one_of(st.sampled_from(tools), st.none()), max_size=25))
