@@ -6,6 +6,11 @@ pinned reasoning-call count.  Tool outcomes still come from the shared
 fault schedule, so the scripts stay honest about what each call returns;
 only the reasoning cadence is scripted.
 
+Both models log their runs on the same timeline as the router (``tool_call``,
+``consult``, ``demoted`` and their recovery events), so one set of folds
+(``ExecutionTrace.llm_calls``, ``tool_call_count``, ``recovery_events``)
+counts every architecture.
+
 The static workflow is structural: per-domain stage definitions carrying
 exactly the pre-coded single-failure fallbacks (a notification falls back
 from email to sms; moderation skips dead classifiers and holds for review
@@ -20,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calibration import SimClock
-from .orchestrator import ExecutionTrace, ToolCall, TraceStatus
+from .orchestrator import ExecutionTrace, TraceStatus
 from .scenarios import Scenario, ScheduledInvoker
-from .topologies import achieved_outcomes
+from .topologies import Topology, achieved_outcomes
 
 
 @dataclass(frozen=True)
@@ -80,14 +85,18 @@ REACT_SCRIPTS: dict[str, ReactScript] = {
 def run_react(scenario: Scenario) -> ExecutionTrace:
     """Replay the scripted LLM-per-decision policy against the scenario's
     fault schedule.  Graph-level recoveries are always zero: every failure
-    is absorbed by extra reasoning steps instead."""
+    is absorbed by extra reasoning steps instead.  The script pins how many
+    reasoning calls the run makes, not where, so their ``consult`` events
+    (query ``react_step``) are logged together after the acts, before a
+    scripted demotion."""
     script = REACT_SCRIPTS[scenario.id]
     invoker = ScheduledInvoker(scenario.faults)
     clock = SimClock()
     trace = ExecutionTrace(goal_id=scenario.topology.goal.id, final_goal=scenario.topology.goal.id)
-    trace.llm_calls = script.llm_calls
     for node in script.acts:
         _call(trace, invoker, clock, node)
+    for _ in range(script.llm_calls):
+        trace.log(clock.now, "consult", query="react_step", reply="scripted")
     if script.terminal == "escalate":
         trace.status = TraceStatus.ESCALATED
         trace.resolution = {"kind": "handoff", "note": "model handed the case to a human"}
@@ -95,7 +104,7 @@ def run_react(scenario: Scenario) -> ExecutionTrace:
         trace.status = TraceStatus.SUCCESS
         trace.resolution = {"kind": "completed", "goal": trace.final_goal}
         if script.terminal == "demoted":
-            trace.demotions.append({"from": trace.final_goal, "to": "reasoned_fallback", "at_ms": clock.now})
+            trace.log(clock.now, "demoted", goal="reasoned_fallback")
     return trace
 
 
@@ -162,21 +171,29 @@ class AuditReport:
         }
 
 
+def _outcomes_met(trace: ExecutionTrace, domain: str) -> set[str]:
+    return achieved_outcomes(domain, trace.successes(), demoted=bool(trace.demotions))
+
+
+def silent_success(trace: ExecutionTrace, topology: Topology) -> bool:
+    """The outcome rule: a run that reports SUCCESS without every outcome
+    its topology requires is a silent failure.  A run ends SUCCESS or
+    ESCALATED, so a run is correct exactly when it is not silent."""
+    if trace.status is not TraceStatus.SUCCESS:
+        return False
+    return not set(topology.required_outcomes) <= _outcomes_met(trace, topology.domain)
+
+
 def audit(trace: ExecutionTrace, scenario: Scenario, classifiers_lost: int | None = None) -> AuditReport:
-    domain = scenario.domain
-    met = achieved_outcomes(domain, trace.successes(), demoted=bool(trace.demotions))
-    required = set(scenario.topology.required_outcomes)
-    complete = required <= met
-    reported_success = trace.status is TraceStatus.SUCCESS
-    silent = reported_success and not complete
-    correct = (reported_success and complete) or trace.status is TraceStatus.ESCALATED
+    topology = scenario.topology
+    silent = silent_success(trace, topology)
     return AuditReport(
         scenario_id=scenario.id,
         reported_status=trace.status.value,
-        required_outcomes=tuple(sorted(required)),
-        outcomes_met=tuple(sorted(met)),
+        required_outcomes=tuple(sorted(topology.required_outcomes)),
+        outcomes_met=tuple(sorted(_outcomes_met(trace, topology.domain))),
         silent_failure=silent,
-        correct=correct,
+        correct=not silent,
         classifiers_lost=classifiers_lost,
     )
 
@@ -184,7 +201,7 @@ def audit(trace: ExecutionTrace, scenario: Scenario, classifiers_lost: int | Non
 def _call(trace: ExecutionTrace, invoker, clock: SimClock, node: str) -> bool:
     outcome = invoker.invoke(node, clock)
     clock.advance(outcome.latency_ms)
-    trace.tool_calls.append(ToolCall(node, outcome.success, outcome.failure_kind, clock.now))
+    trace.log(clock.now, "tool_call", node=node, success=outcome.success, kind=outcome.failure_kind)
     if outcome.success:
         trace.completed.add(node)
     return outcome.success
@@ -197,8 +214,7 @@ def _run_staged_workflow(scenario: Scenario, stages) -> ExecutionTrace:
     for stage in stages:
         achieved = False
         for i, provider in enumerate(stage.providers):
-            if i > 0:
-                trace.recovery_events += 1  # pre-coded fallback edge taken
+            if i > 0:  # pre-coded fallback edge taken
                 trace.log(clock.now, "fallback", stage=stage.name, to=provider)
             if _call(trace, invoker, clock, provider):
                 achieved = True
@@ -226,15 +242,13 @@ def _run_moderation_workflow(scenario: Scenario) -> tuple[ExecutionTrace, int]:
     for clf in MODERATION_CLASSIFIERS:
         if not _call(trace, invoker, clock, clf):
             lost += 1
-            trace.recovery_events += 1  # skip-and-continue edge
-            trace.log(clock.now, "classifier_skipped", classifier=clf)
+            trace.log(clock.now, "classifier_skipped", classifier=clf)  # skip-and-continue edge
     if lost >= MODERATION_HOLD_THRESHOLD:
         trace.status = TraceStatus.ESCALATED
         trace.resolution = {"kind": "hold", "note": f"{lost} classifiers down, held for review"}
         trace.log(clock.now, "held_for_review", lost=lost)
         return trace, lost
-    if scenario.content_toxic:
-        trace.recovery_events += 1  # pre-coded toxic-content diversion branch
+    if scenario.content_toxic:  # pre-coded toxic-content diversion branch
         trace.log(clock.now, "toxicity_branch")
     _call(trace, invoker, clock, "action_queue")
     trace.status = TraceStatus.SUCCESS

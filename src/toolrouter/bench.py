@@ -18,7 +18,7 @@ from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .baselines import AuditReport, audit, run_react, run_static_workflow
+from .baselines import AuditReport, audit, run_react, run_static_workflow, silent_success
 from .errors import ToolrouterError
 from .monitors import MonitorConfig
 from .orchestrator import ExecutionTrace, TaskRequest, TraceStatus
@@ -34,7 +34,7 @@ from .scenarios import (
     run_schedule,
     run_self_healing,
 )
-from .topologies import BUILDERS, START, TopologyKind, achieved_outcomes, build_topology
+from .topologies import BUILDERS, START, TopologyKind, build_topology
 
 
 ARCHITECTURES = ("shr", "react", "static")
@@ -540,12 +540,10 @@ def run_fuzz(iterations: int, seed: int = 0) -> dict:
     for i in range(iterations):
         topo = build_topology(kinds[i % len(kinds)])
         trace = run_schedule(topo, random_schedule(topo.kind, rng), TaskRequest(text="fuzz task"))
-        met = achieved_outcomes(topo.domain, trace.successes(), demoted=bool(trace.demotions))
-        silent = trace.status is TraceStatus.SUCCESS and not set(topo.required_outcomes) <= met
         stats["runs"] += 1
         stats["success"] += trace.status is TraceStatus.SUCCESS
         stats["escalated"] += trace.status is TraceStatus.ESCALATED
-        stats["silent"] += silent
+        stats["silent"] += silent_success(trace, topo)
         stats["recoveries"] += trace.recovery_events
         stats["llm_calls"] += trace.llm_calls
     return stats

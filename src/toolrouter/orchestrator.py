@@ -188,8 +188,10 @@ class TraceStatus(Enum):
     ESCALATED = "escalated"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ToolCall:
+    """A read-only view of one ``tool_call`` event."""
+
     node: str
     success: bool
     failure_kind: str | None
@@ -199,29 +201,82 @@ class ToolCall:
         return {"node": self.node, "success": self.success, "failure_kind": self.failure_kind, "at_ms": self.at_ms}
 
 
+# Events that count as a recovery: the router's reroute around a failure
+# batch, and the static workflow's pre-coded fallback, skip and diversion
+# edges.
+RECOVERY_EVENTS = ("reroute", "fallback", "classifier_skipped", "toxicity_branch")
+RECOMPUTE_EVENTS = ("reroute", "route_exhausted")
+ROUTE_EVENTS = ("routed", "demoted", *RECOMPUTE_EVENTS)
+
+
 @dataclass(slots=True)
 class ExecutionTrace:
-    """Complete record of one task run; the unit of benchmark accounting."""
+    """Complete record of one task run; the unit of benchmark accounting.
+
+    The timeline (``events``) is the record.  The call list and the
+    counters (``tool_calls``, ``tool_call_count``, ``successes()``,
+    ``llm_calls``, ``recovery_events``, ``failure_recomputes`` and
+    ``demotions``) are folds of it, computed when read.  ``completed``,
+    ``quarantined`` and ``final_goal`` are stored, because ``execute_task``
+    reads them on every step."""
 
     goal_id: str
     status: TraceStatus = TraceStatus.SUCCESS
     resolution: dict = field(default_factory=dict)
-    tool_calls: list[ToolCall] = field(default_factory=list)
-    recovery_events: int = 0  # failure batches healed purely by rerouting
-    failure_recomputes: int = 0  # route recomputations triggered by failures
-    llm_calls: int = 0
     completed: set[str] = field(default_factory=set)
-    demotions: list[dict] = field(default_factory=list)
     quarantined: frozenset[str] = frozenset()  # replaced, never written, on each quarantine batch
     events: list[dict] = field(default_factory=list)
     final_goal: str = ""
 
     @property
+    def tool_calls(self) -> list[ToolCall]:
+        """The ``tool_call`` events, in order."""
+        return [
+            ToolCall(ev["node"], ev["success"], ev["kind"], ev["t_ms"]) for ev in self.events if ev["event"] == "tool_call"
+        ]
+
+    @property
     def tool_call_count(self) -> int:
-        return len(self.tool_calls)
+        return sum(ev["event"] == "tool_call" for ev in self.events)
 
     def successes(self) -> set[str]:
-        return {c.node for c in self.tool_calls if c.success}
+        return {ev["node"] for ev in self.events if ev["event"] == "tool_call" and ev["success"]}
+
+    @property
+    def llm_calls(self) -> int:
+        """Reasoner calls: one ``consult`` event each."""
+        return sum(ev["event"] == "consult" for ev in self.events)
+
+    @property
+    def recovery_events(self) -> int:
+        """Failures healed without the reasoner (``RECOVERY_EVENTS``)."""
+        return sum(ev["event"] in RECOVERY_EVENTS for ev in self.events)
+
+    @property
+    def failure_recomputes(self) -> int:
+        """Route recomputations triggered by failures: the ``reroute`` and
+        ``route_exhausted`` events after the task's first route event."""
+        recomputes = 0
+        routed = False
+        for ev in self.events:
+            kind = ev["event"]
+            if kind in ROUTE_EVENTS:
+                if routed and kind in RECOMPUTE_EVENTS:
+                    recomputes += 1
+                routed = True
+        return recomputes
+
+    @property
+    def demotions(self) -> list[dict]:
+        """One ``{from, to, at_ms}`` per ``demoted`` event, chained from
+        the original goal."""
+        demotions = []
+        active = self.goal_id
+        for ev in self.events:
+            if ev["event"] == "demoted":
+                demotions.append({"from": active, "to": ev["goal"], "at_ms": ev["t_ms"]})
+                active = ev["goal"]
+        return demotions
 
     def log(self, at_ms: int, event: str, **detail) -> None:
         self.events.append({"t_ms": at_ms, "event": event, **detail})
@@ -273,10 +328,11 @@ def execute_task(
     goal_node = goal.goal_node
     ladder_index = 0  # ladder options before this index have been tried
     lane: tuple[tuple[str, str, float], ...] = ()  # extra_edges of every rung tried
+    calls = 0  # tool calls made, the prober's attempt count
 
     def sweep():
         if prober is not None:
-            opened = prober.scan(clock, states, attempts=len(trace.tool_calls))
+            opened = prober.scan(clock, states, attempts=calls)
             if opened:
                 trace.log(clock.now, "probe_detected", tools=opened)
         # A tool is never invoked again once it succeeds, and the goal
@@ -315,17 +371,19 @@ def execute_task(
         trace.log(clock.now, "escalated", kind=kind, note=note)
 
     def consult(kind: str, detail: str) -> RoutePath | None:
-        """The one reasoner call site.  A demotion query answered with an
-        untried rung of the ladder makes that rung the active goal and
-        returns its route, searched from ``position`` around the unfinished
-        quarantined tools (``blocked``); a rung that is unroutable is
-        followed by one escalation query.  Any other reply ends the run as
-        ESCALATED and returns None, as kind ``bad_reply`` unless it is a
-        ``DemotedGoal`` or an ``Escalate`` with a non-empty ``str`` note; a
-        reasoner's exception propagates.  This loops rather than recursing: a recursive
-        closure would form a reference cycle that keeps the task's state
-        alive until a garbage collection.  A bad lane edge is first searched
-        over, so raised, by the demotion search of the rung that brought it."""
+        """The one reasoner call site; each reply is logged as a
+        ``consult`` event of its query kind and reply type.  A demotion
+        query answered with an untried rung of the ladder makes that rung
+        the active goal and returns its route, searched from ``position``
+        around the unfinished quarantined tools (``blocked``); a rung that
+        is unroutable is followed by one escalation query.  Any other reply
+        ends the run as ESCALATED and returns None, as kind ``bad_reply``
+        unless it is a ``DemotedGoal`` or an ``Escalate`` with a non-empty
+        ``str`` note; a reasoner's exception propagates, and logs nothing.
+        This loops rather than recursing: a recursive closure would form a
+        reference cycle that keeps the task's state alive until a garbage
+        collection.  A bad lane edge is first searched over, so raised, by
+        the demotion search of the rung that brought it."""
         nonlocal goal_node, ladder_index, lane
         while True:
             query = ReasonerQuery(
@@ -336,7 +394,7 @@ def execute_task(
                 detail=detail,
             )
             verdict = reasoner.consult(query)
-            trace.llm_calls += 1
+            trace.log(clock.now, "consult", query=kind, reply=type(verdict).__name__)
             if isinstance(verdict, Escalate) and type(verdict.note) is str and verdict.note:
                 note = verdict.note
                 break
@@ -358,7 +416,6 @@ def execute_task(
                 raise BadLaneEdge(f"demotion rung {option.goal_id!r}: {exc}") from None
             if route is not None:
                 goal_node = option.goal_node
-                trace.demotions.append({"from": trace.final_goal, "to": option.goal_id, "at_ms": clock.now})
                 trace.final_goal = option.goal_id
                 trace.log(clock.now, "demoted", goal=option.goal_id, path=list(route.nodes))
                 return route
@@ -377,11 +434,9 @@ def execute_task(
         escalated."""
         quarantine(batch)
         route = graph.shortest_path(position, goal_node, lane, blocked())
-        trace.failure_recomputes += 1
         if route is None:
             trace.log(clock.now, "route_exhausted", source=position, goal=goal_node)
             return consult("demotion", detail)
-        trace.recovery_events += 1
         trace.log(clock.now, "reroute", path=list(route.nodes), cost=route.total_cost)
         return route
 
@@ -421,12 +476,12 @@ def execute_task(
                 break
             if node not in graph.sentinels:
                 outcome = invoker.invoke(node, clock)
+                calls += 1
                 _check_outcome(node, outcome)
                 clock.advance(outcome.latency_ms)
                 state = states.get(node)
                 if state is not None:
                     state.record_call(clock, outcome.latency_ms, outcome.success)
-                trace.tool_calls.append(ToolCall(node, outcome.success, outcome.failure_kind, clock.now))
                 trace.log(clock.now, "tool_call", node=node, success=outcome.success, kind=outcome.failure_kind)
                 if not outcome.success:
                     # The failed call joins the outages its failure sweep

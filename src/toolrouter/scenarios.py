@@ -108,9 +108,10 @@ class FaultEntry:
             raise BadFaultEntry(f"at_step must be 0 on {self.effect.value}, got {at_step!r}")
 
     def active(self, attempts: int) -> bool:
-        if self.effect is FaultEffect.FAIL_AT_STEP:
-            return attempts >= self.at_step
-        return True
+        """Whether the tool is down once ``attempts`` calls happened.  Every
+        effect but FAIL_AT_STEP has ``at_step`` 0, so it is down from the
+        start."""
+        return attempts >= self.at_step
 
 
 @dataclass(frozen=True, slots=True)

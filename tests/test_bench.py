@@ -25,6 +25,7 @@ from toolrouter.bench import (
     project_risk,
     render_projection,
     render_report,
+    run_architecture,
     run_benchmark,
     run_fuzz,
 )
@@ -32,6 +33,7 @@ from toolrouter.graph import ToolGraph
 from toolrouter.scenarios import load_scenarios
 
 from conftest import count_calls
+from oracle import timeline_violations
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,19 @@ class TestRunBenchmark:
             if r.arch == "shr":
                 per_domain[r.domain] = per_domain.get(r.domain, 0) + r.tool_calls
         assert per_domain == {"customer_support": 27, "travel_booking": 27, "content_moderation": 12}
+
+    def test_every_row_is_counted_from_its_trace_timeline(self, result):
+        # All 57 fixture traces (19 scenarios x shr/react/static) pass the
+        # structural replay, and each row's counts are its trace's events.
+        scenarios = {s.id: s for s in load_scenarios()}
+        assert len(result.rows) == 57
+        for row in result.rows:
+            trace, _ = run_architecture(scenarios[row.scenario], row.arch)
+            assert timeline_violations(trace) == [], (row.scenario, row.arch)
+            kinds = [ev["event"] for ev in trace.events]
+            recoveries = sum(kinds.count(k) for k in ("reroute", "fallback", "classifier_skipped", "toxicity_branch"))
+            got = (row.tool_calls, row.llm_calls, row.recoveries)
+            assert got == (kinds.count("tool_call"), kinds.count("consult"), recoveries), (row.scenario, row.arch)
 
     def test_single_scenario_run(self):
         result = run_benchmark(BenchConfig(scenario_ids=("S2",), architectures=("shr",)))

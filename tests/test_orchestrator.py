@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import random
 import zlib
@@ -9,17 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import brute_force_shortest
+from oracle import brute_force_shortest, timeline_violations
 from toolrouter.bench import random_schedule
 from toolrouter.calibration import BreakerPhase, SimClock, ToolCalibration, ToolState
 from toolrouter.graph import BadLaneEdge, GraphError, ToolGraph
-from toolrouter import orchestrator
+from toolrouter import orchestrator, scenarios
 from toolrouter.monitors import MonitorConfig, MonitorError, run_all_monitors
 from toolrouter.orchestrator import (
     BadOutcome,
     DemotedGoal,
     DemotionOption,
     Escalate,
+    ExecutionTrace,
     MalformedGoal,
     Outcome,
     ReasonerQuery,
@@ -462,6 +464,12 @@ class TestReasonerContract:
         reasoner = RecordingReasoner()
         trace, _ = run_support(down={"email", "sms"}, reasoner=reasoner)
         assert trace.llm_calls == len(reasoner.queries) == 2
+        # each reply is one consult event, naming the query kind and the reply type
+        assert [q.kind for q in reasoner.queries] == ["demotion", "escalation"]
+        assert [(ev["query"], ev["reply"]) for ev in events(trace, "consult")] == [
+            ("demotion", "DemotedGoal"),
+            ("escalation", "Escalate"),
+        ]
 
     def test_exhausted_ladder_escalates(self):
         reasoner = RuleReasoner()
@@ -505,6 +513,30 @@ class TestReasonerContract:
         )
         assert trace.resolution["note"].startswith("escalating issue_store_credit")
 
+    def test_a_raising_reasoner_leaves_no_consult_event(self, monkeypatch):
+        class Raising:
+            def consult(self, query):
+                raise RuntimeError(query.kind)
+
+        logged = []
+        log = ExecutionTrace.log
+
+        def recording(trace, at_ms, event, **detail):
+            logged.append(event)
+            log(trace, at_ms, event, **detail)
+
+        monkeypatch.setattr(ExecutionTrace, "log", recording)
+        # a demotion query (no route left) and a risk escalation query
+        runs = [
+            (dict(down={"stripe", "razorpay"}), "route_exhausted"),
+            (dict(request=TaskRequest(text="refund order 1", amount=50_000.0)), "monitor_winner"),
+        ]
+        for run, last in runs:
+            logged.clear()
+            with pytest.raises(RuntimeError):
+                run_support(reasoner=Raising(), **run)
+            assert "consult" not in logged and logged[-1] == last
+
     @pytest.mark.parametrize(
         "reply",
         [None, 42, "issue_store_credit", Escalate(None), Escalate(123)],
@@ -524,6 +556,7 @@ class TestReasonerContract:
             note = f"malformed reasoner reply of type {type(reply).__name__}"
             assert trace.resolution == {"kind": "bad_reply", "note": note}
             assert trace.llm_calls == len(reasoner.queries) == 1 and not trace.demotions
+            assert events(trace, "consult")[0]["reply"] == type(reply).__name__
             assert trace.events[-1] == {"t_ms": trace.events[-1]["t_ms"], "event": "escalated", "kind": "bad_reply", "note": note}
 
 
@@ -553,6 +586,52 @@ class TestBinaryObservability:
         doc = trace.as_dict()
         assert set(doc) >= {"tool_calls", "recovery_events", "llm_calls", "status", "timeline"}
         assert all("t_ms" in ev for ev in doc["timeline"])
+
+
+class TestTimelineIsTheRecord:
+    def test_the_trace_stores_no_counter(self):
+        assert [f.name for f in dataclasses.fields(ExecutionTrace)] == [
+            "goal_id", "status", "resolution", "completed", "quarantined", "events", "final_goal",
+        ]
+
+    def test_counters_are_folds_of_the_timeline(self):
+        trace = ExecutionTrace(goal_id="full")
+        for t, event, detail in [
+            (0, "route_exhausted", dict(source="start", goal="goal")),  # the first route event: not a recompute
+            (0, "consult", dict(query="demotion", reply="DemotedGoal")),
+            (0, "demoted", dict(goal="first", path=["start", "a"])),
+            (100, "tool_call", dict(node="a", success=False, kind="timeout")),
+            (100, "quarantine", dict(tools=["a"])),
+            (100, "reroute", dict(path=["start", "b"], cost=1.0)),
+            (200, "tool_call", dict(node="b", success=True, kind=None)),
+            (200, "quarantine", dict(tools=["c"])),
+            (200, "route_exhausted", dict(source="b", goal="goal")),
+            (200, "consult", dict(query="demotion", reply="DemotedGoal")),
+            (200, "demoted", dict(goal="second", path=["b", "d"])),
+        ]:
+            trace.log(t, event, **detail)
+        assert [c.as_dict() for c in trace.tool_calls] == [
+            {"node": "a", "success": False, "failure_kind": "timeout", "at_ms": 100},
+            {"node": "b", "success": True, "failure_kind": None, "at_ms": 200},
+        ]
+        assert (trace.tool_call_count, trace.successes(), trace.llm_calls) == (2, {"b"}, 2)
+        assert (trace.recovery_events, trace.failure_recomputes) == (1, 2)
+        assert trace.demotions == [
+            {"from": "full", "to": "first", "at_ms": 0},
+            {"from": "first", "to": "second", "at_ms": 200},
+        ]
+
+    def test_an_unanswered_consult_is_a_violation(self):
+        trace = ExecutionTrace(goal_id="full")
+        trace.log(0, "consult", query="demotion", reply="DemotedGoal")
+        trace.log(100, "tool_call", node="a", success=True, kind=None)
+        trace.log(100, "consult", query="escalation", reply="Escalate")
+        assert timeline_violations(trace) == [
+            "consult at 0 ms followed by tool_call before a decision",
+            "consult at 100 ms ended the trace without a decision",
+        ]
+        trace.log(100, "escalated", kind="escalation", note="handoff")
+        assert timeline_violations(trace) == ["consult at 0 ms followed by tool_call before a decision"]
 
 
 class TestTaskStateBelongsToTheTask:
@@ -613,46 +692,6 @@ class TestLoopBound:
         assert [ev["event"] for ev in trace.events].count("reroute") == 1
 
 
-RECOMPUTE_EVENTS = ("reroute", "route_exhausted")
-
-
-def timeline_violations(trace) -> list[str]:
-    """Replay a trace's timeline against the structural invariants."""
-    problems = []
-    succeeded: set[str] = set()
-    quarantined: set[str] = set()
-    routed = False
-    recomputes = None  # recomputes since the last quarantine batch after the first route
-    last_t = None
-    for ev in trace.events:
-        kind = ev["event"]
-        if last_t is not None and ev["t_ms"] < last_t:
-            problems.append(f"t_ms went back from {last_t} to {ev['t_ms']} at {kind}")
-        last_t = ev["t_ms"]
-        if kind in ("quarantine", "tool_call"):
-            if recomputes not in (None, 1):
-                problems.append(f"quarantine batch followed by {recomputes} recomputes")
-            recomputes = None
-        if kind == "quarantine":
-            quarantined.update(ev["tools"])
-            if routed:
-                recomputes = 0
-        elif kind == "tool_call":
-            if ev["node"] in succeeded:
-                problems.append(f"{ev['node']} invoked again after it succeeded")
-            if ev["node"] in quarantined:
-                problems.append(f"quarantined {ev['node']} was invoked")
-            if ev["success"]:
-                succeeded.add(ev["node"])
-        elif kind in RECOMPUTE_EVENTS or kind in ("routed", "demoted"):
-            if kind in RECOMPUTE_EVENTS and recomputes is not None:
-                recomputes += 1
-            routed = True
-    if recomputes not in (None, 1):
-        problems.append(f"final quarantine batch followed by {recomputes} recomputes")
-    return problems
-
-
 def with_lane(graph: ToolGraph, lane) -> ToolGraph:
     """An unfrozen copy of ``graph`` with each lane edge added unless the
     two nodes are already linked: the graph's edge, then the earliest lane
@@ -705,7 +744,15 @@ def avoidable_consults(trace, graph: ToolGraph, goal: TaskGoal, start: str = STA
 
 
 class TestGeneratedRunInvariants:
-    def test_invariants_hold_over_random_schedules(self):
+    def test_invariants_hold_over_random_schedules(self, monkeypatch):
+        asked = []  # the query kinds the reasoner of the current run received
+
+        class Recording(RuleReasoner):
+            def consult(self, query):
+                asked.append(query.kind)
+                return super().consult(query)
+
+        monkeypatch.setattr(scenarios, "RuleReasoner", Recording)  # run_schedule's reasoner
         rng = random.Random(20261017)
         kinds = list(TopologyKind)
         outcomes = set()
@@ -717,8 +764,10 @@ class TestGeneratedRunInvariants:
                 request = TaskRequest(text="fuzz task", amount=50_000.0, risk_visible_after=rng.randint(0, 4))
             else:
                 request = TaskRequest(text="fuzz task")
+            asked.clear()
             trace = run_schedule(topo, schedule, request)
             assert trace.status in (TraceStatus.SUCCESS, TraceStatus.ESCALATED)
+            assert [ev["query"] for ev in events(trace, "consult")] == asked, (i, schedule)
             assert timeline_violations(trace) == [], (i, schedule)
             assert avoidable_consults(trace, topo.fresh_graph(), topo.goal) == [], (i, schedule)
             outcomes.add((trace.status, bool(trace.demotions), trace.recovery_events > 0))
@@ -734,7 +783,9 @@ class TestGeneratedRunInvariants:
         # f2cc5add: the recovery and demotion searches no longer block
         # finished work, so a run whose completed tool is quarantined
         # afterwards reroutes from it instead of consulting the reasoner.
-        assert f"{digest:08x}" == "f2cc5add"
+        # f2cc5add -> 31bacf6e: each reasoner reply is logged as a consult
+        # event; with those stripped, the 300 traces are as before.
+        assert f"{digest:08x}" == "31bacf6e"
 
 
 class TestDemotionLanes:
@@ -842,8 +893,11 @@ class TestDemotionLanes:
         verdicts = st.sampled_from(["escalate", "malformed", "goal", "nowhere", *rungs, *rungs, *rungs])
         malformed = st.sampled_from((None, "goal", Escalate(None), Escalate("")))
 
+        asked = []
+
         class AdversarialReasoner:
             def consult(self, query):
+                asked.append(query.kind)
                 verdict = data.draw(verdicts, label="verdict")
                 if verdict == "malformed":
                     return data.draw(malformed, label="reply")
@@ -868,6 +922,7 @@ class TestDemotionLanes:
             assert all(graph.has_edge(u, v) or (u, v) in lanes for u, v in zip(path, path[1:]))
         else:
             assert trace.status is TraceStatus.ESCALATED and trace.resolution["kind"] and trace.resolution["note"]
+        assert [ev["query"] for ev in events(trace, "consult")] == asked
         assert timeline_violations(trace) == []
         assert avoidable_consults(trace, graph, goal) == []
         assert graph.to_json() == before and graph.quarantined == set()

@@ -47,15 +47,19 @@ WORKLOAD_TASKS = {"paper_fuzz": 3_000, "wide_catalog": 400, "long_session": 6_00
 # recovery and demotion searches no longer block finished work, so a task
 # whose completed tool is quarantined afterwards reroutes from it instead of
 # consulting the reasoner (run_fuzz(1000, 42): success 718 -> 775, llm_calls
-# 520 -> 420).  No fixture or long_session trace moved.
+# 520 -> 420).  No fixture or long_session trace moved.  Then d644cef3 ->
+# 7e616c83, 91bebc44 -> 05785024, af165cd7 -> 8f59c532, bd9a16b1 ->
+# c8cc58c4, 1dff1bbb -> e94415ed: each reasoner reply is logged as a
+# ``consult`` event ({query, reply}), and the trace's counters are folds of
+# the timeline.  With consult events stripped, all seven digests are as before.
 EXPECTED = {
-    "fixtures": "d644cef3",
-    "fuzz": "91bebc44",
-    "paper_fuzz": "af165cd7",
-    "wide_catalog": "bd9a16b1",
+    "fixtures": "7e616c83",
+    "fuzz": "05785024",
+    "paper_fuzz": "8f59c532",
+    "wide_catalog": "c8cc58c4",
     # Earlier, 8141714d -> 9ba40b32: SimClock.advance carries fractional
     # milliseconds instead of dropping them; only long_session feeds them.
-    "long_session": "1dff1bbb",
+    "long_session": "e94415ed",
     "report_json": "b5138156",
     "report_md": "066d6f7f",
 }
