@@ -101,10 +101,11 @@ def run_react(scenario: Scenario) -> ExecutionTrace:
         trace.status = TraceStatus.ESCALATED
         trace.resolution = {"kind": "handoff", "note": "model handed the case to a human"}
     else:
+        if script.terminal == "demoted":  # the run ends at the demoted goal, as the router's does
+            trace.final_goal = "reasoned_fallback"
+            trace.log(clock.now, "demoted", goal=trace.final_goal)
         trace.status = TraceStatus.SUCCESS
         trace.resolution = {"kind": "completed", "goal": trace.final_goal}
-        if script.terminal == "demoted":
-            trace.log(clock.now, "demoted", goal="reasoned_fallback")
     return trace
 
 

@@ -33,7 +33,11 @@ from typing import Iterable, Iterator, KeysView
 from .errors import ToolrouterError
 
 INFINITE = math.inf
-ROUTE_MEMO_ENTRIES = 256  # entries kept per memo of a shared adjacency; cleared when full
+# Entries kept per memo of a shared adjacency; cleared when full.  The
+# largest paper topology meets at most 265 route keys per pass of a
+# paper_fuzz stream (seeds 1-40), so this holds it about four times; a
+# route entry with its share of the span memo holds about 440 bytes.
+ROUTE_MEMO_ENTRIES = 1024
 _UNSEEN = object()
 
 
@@ -122,9 +126,11 @@ class ToolGraph:
         accepted because perfbench passes it."""
         if self._routes is not None:
             raise GraphError(f"cannot add node {node_id!r}: the graph is frozen")
-        if not node_id or not isinstance(node_id, str):
+        if not node_id or (type(node_id) is not str and not isinstance(node_id, str)):
             raise GraphError("node id must be a non-empty string")
-        self._out.setdefault(node_id, {})
+        out = self._out
+        if node_id not in out:
+            out[node_id] = {}
         if sentinel:
             self.sentinels.add(node_id)
 
@@ -134,14 +140,19 @@ class ToolGraph:
         if src == dst:
             raise GraphError(f"self-loop on {src!r} not allowed")
         out = self._out  # keyed by exactly the declared nodes
-        if src not in out:
-            raise UnknownNode(f"edge endpoint {src!r} is not a declared node")
+        try:
+            row = out[src]  # looked up once, stored through below
+        except KeyError:
+            raise UnknownNode(f"edge endpoint {src!r} is not a declared node") from None
         if dst not in out:
             raise UnknownNode(f"edge endpoint {dst!r} is not a declared node")
-        is_float = type(weight) is float
-        if not ((is_float or isinstance(weight, (int, float))) and 0 < weight < INFINITE):
+        if type(weight) is not float:  # any other number is stored as a float
+            if not (isinstance(weight, (int, float)) and 0 < weight < INFINITE):
+                raise NonPositiveWeight(f"edge weight must be finite and > 0, got {weight!r}")
+            weight = float(weight)
+        elif not (0.0 < weight and weight < INFINITE):  # 0.0, not 0: comparing two floats is the fast case
             raise NonPositiveWeight(f"edge weight must be finite and > 0, got {weight!r}")
-        out[src][dst] = weight if is_float else float(weight)
+        row[dst] = weight
 
     def quarantine_node(self, node: str) -> None:
         """Block ``node`` in every later search of this graph; idempotent.

@@ -126,6 +126,8 @@ class FaultSchedule:
 
 
 _OK = Outcome.ok(TOOL_CALL_LATENCY_MS)
+_FAILED = {kind: Outcome.failed(kind, TOOL_CALL_LATENCY_MS) for kind in FAULT_KINDS}
+_OPEN = BreakerPhase.OPEN  # read once, as _FAIL_AT_STEP is
 
 
 class ScheduledInvoker:
@@ -134,9 +136,9 @@ class ScheduledInvoker:
 
     Keeps a shared attempt counter so call-indexed effects land identically
     for every architecture replaying the same scenario.  ``Outcome`` is
-    frozen, so every success is one shared value.  The entries are grouped
-    by tool once, when the invoker is made, so a call to an unscheduled
-    tool reads no entry.
+    frozen, so every success is one shared value, and so is every failure
+    of one kind.  The entries are grouped by tool once, when the invoker is
+    made, so a call to an unscheduled tool reads no entry.
     """
 
     def __init__(self, schedule: FaultSchedule):
@@ -150,7 +152,7 @@ class ScheduledInvoker:
         self.attempts = attempts + 1
         for entry in self._entries.get(node, ()):
             if entry.active(attempts):
-                return Outcome.failed(entry.kind, TOOL_CALL_LATENCY_MS)
+                return _FAILED[entry.kind]
         return _OK
 
 
@@ -177,12 +179,14 @@ class ScheduledProber:
             if not entry.active(attempts):
                 continue
             state = states.get(entry.tool)
-            if state is None or state.breaker.phase is BreakerPhase.OPEN:
+            if state is None or state.breaker.phase is _OPEN:
                 continue
             state.run_health_probe(clock, PROBE_LATENCY_MS, success=False)
-            if state.breaker.phase is BreakerPhase.OPEN:
+            if state.breaker.phase is _OPEN:
                 opened.append(entry.tool)
-        return sorted(opened)
+        if opened:
+            opened.sort()
+        return opened
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ both live in one process.  Each side builds the workload's task stream
 for ``--seed``.  Every round times the next ``--block`` tasks of that
 stream on both sides, and which side runs first swaps every round, so
 drift in the host's speed falls on both; one untimed block per side warms
-up first.  Prints the median and quartiles
-of the per-round time ratio (this checkout / other): below 1 means this
-checkout is faster.
+up first.  Each task is also timed alone, as perfbench times it.  Prints
+each side's median block time and its per-task p50 and p99 over every timed
+task, and the median and quartiles of the per-round time ratio (this
+checkout / other): below 1 means this checkout is faster.  A tail claim
+can be sized from the p99s before paired perfbench runs.
 
 Uses the standard library only and writes nothing (no bytecode caches).
 A sizing aid: a performance claim is still judged by perfbench's paired
@@ -47,14 +49,18 @@ def load_side(checkout: Path, workload: str, seed: int):
     return stream
 
 
-def time_block(stream, start: int, block: int) -> int:
-    """Wall time of one block.  Its traces stay alive until the block
-    ends, as perfbench keeps them until it audits a block, so garbage
-    collections during the block scan them."""
-    tasks = stream.tasks
+def time_block(stream, start: int, block: int, per_task: list[int]) -> int:
+    """Wall time of one block; appends each task's own time to
+    ``per_task``.  Its traces stay alive until the block ends, as perfbench
+    keeps them until it audits a block, so garbage collections during the
+    block scan them."""
+    tasks, run, traces = stream.tasks, stream.run_task, []
     gc.collect()
     t0 = perf_counter_ns()
-    traces = [stream.run_task(tasks[i % len(tasks)]) for i in range(start, start + block)]
+    for i in range(start, start + block):
+        t = perf_counter_ns()
+        traces.append(run(tasks[i % len(tasks)]))
+        per_task.append(perf_counter_ns() - t)
     elapsed = perf_counter_ns() - t0
     del traces
     return elapsed
@@ -75,28 +81,30 @@ def main(argv: list[str] | None = None) -> int:
     other = load_side(args.other.resolve(), args.workload, args.seed)
     if type(this) is type(other):
         parser.error("both sides loaded the same module")
-    time_block(this, 0, args.block)  # warm-up, untimed
-    time_block(other, 0, args.block)
-    ratios, this_ns, other_ns = [], [], []
+    time_block(this, 0, args.block, [])  # warm-up, untimed
+    time_block(other, 0, args.block, [])
+    ratios, this_ns, other_ns, this_tasks, other_tasks = [], [], [], [], []
     for r in range(args.rounds):
         start = (r + 1) * args.block
         if r % 2 == 0:
-            a = time_block(this, start, args.block)
-            b = time_block(other, start, args.block)
+            a = time_block(this, start, args.block, this_tasks)
+            b = time_block(other, start, args.block, other_tasks)
         else:
-            b = time_block(other, start, args.block)
-            a = time_block(this, start, args.block)
+            b = time_block(other, start, args.block, other_tasks)
+            a = time_block(this, start, args.block, this_tasks)
         ratios.append(a / b)
         this_ns.append(a)
         other_ns.append(b)
 
-    def us_per_task(ns: list[int]) -> float:
-        return statistics.median(ns) / args.block / 1e3
+    def side(ns: list[int], tasks: list[int]) -> str:
+        cuts = statistics.quantiles(tasks, n=100, method="inclusive") if len(tasks) > 1 else tasks * 99
+        return (f"{statistics.median(ns) / args.block / 1e3:.1f} us/task (median block)  "
+                f"per task p50 {cuts[49] / 1e3:.1f} us  p99 {cuts[98] / 1e3:.1f} us")
 
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
     print(f"workload {args.workload}  seed {args.seed}  rounds {args.rounds} x {args.block} tasks")
-    print(f"this  {us_per_task(this_ns):.1f} us/task (median block)  {ROOT}")
-    print(f"other {us_per_task(other_ns):.1f} us/task (median block)  {args.other.resolve()}")
+    print(f"this  {side(this_ns, this_tasks)}  {ROOT}")
+    print(f"other {side(other_ns, other_tasks)}  {args.other.resolve()}")
     print(f"ratio this/other: median {median:.3f}  IQR {q1:.3f}-{q3:.3f}")
     return 0
 

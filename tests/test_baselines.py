@@ -61,6 +61,17 @@ class TestReact:
     def test_scripts_cover_every_scenario(self, suite):
         assert set(REACT_SCRIPTS) == {s.id for s in suite}
 
+    @pytest.mark.parametrize("sid, goal", [("S3", "issue_refund"), ("T5", "book_trip")])
+    def test_a_demoted_run_ends_at_the_demoted_goal(self, by_id, sid, goal):
+        """As in the router's traces: the demotion is logged from the
+        original goal, and the final goal and the resolution name its
+        target."""
+        trace = run_react(by_id[sid])
+        assert trace.goal_id == goal
+        assert [(d["from"], d["to"]) for d in trace.demotions] == [(goal, "reasoned_fallback")]
+        assert trace.final_goal == "reasoned_fallback"
+        assert trace.resolution == {"kind": "completed", "goal": "reasoned_fallback"}
+
     def test_failures_come_from_the_shared_schedule(self, by_id):
         trace = run_react(by_id["S2"])
         outcomes = {c.node: c.success for c in trace.tool_calls}

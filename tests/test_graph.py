@@ -336,6 +336,74 @@ class TestConstruction:
             g.add_edge("a", "y", -1.0)
 
 
+def _admission_base(frozen: bool) -> ToolGraph:
+    g = ToolGraph()
+    g.add_node("a")
+    g.add_node("b")
+    g.add_edge("a", "b", 1.0)
+    return g.freeze() if frozen else g
+
+
+def _bad_weight(weight) -> tuple:
+    return False, lambda g: g.add_edge("b", "a", weight), (NonPositiveWeight, f"edge weight must be finite and > 0, got {weight!r}")
+
+
+def _stored_as(weight: float):
+    return lambda g: g.edge("b", "a").weight == weight and type(g.edge("b", "a").weight) is float
+
+
+FROZEN = "the graph is frozen"
+BAD_ID = (GraphError, "node id must be a non-empty string")
+# name: (frozen, write, outcome); the outcome is (error type, message) for
+# a refusal, which changes nothing, or a check on the graph after the write.
+ADMISSION = {
+    "edge on a frozen graph": (True, lambda g: g.add_edge("b", "a", 1.0), (GraphError, f"cannot add edge 'b' -> 'a': {FROZEN}")),
+    "frozen before self-loop": (True, lambda g: g.add_edge("a", "a", 1.0), (GraphError, f"cannot add edge 'a' -> 'a': {FROZEN}")),
+    "self-loop": (False, lambda g: g.add_edge("a", "a", 1.0), (GraphError, "self-loop on 'a' not allowed")),
+    "self-loop before unknown node": (False, lambda g: g.add_edge("x", "x", -1.0), (GraphError, "self-loop on 'x' not allowed")),
+    "unknown source": (False, lambda g: g.add_edge("x", "b", 1.0), (UnknownNode, "edge endpoint 'x' is not a declared node")),
+    "unknown destination": (False, lambda g: g.add_edge("a", "y", 1.0), (UnknownNode, "edge endpoint 'y' is not a declared node")),
+    "unknown source before destination": (False, lambda g: g.add_edge("x", "y", 1.0), (UnknownNode, "edge endpoint 'x' is not a declared node")),
+    "unknown source before bad weight": (False, lambda g: g.add_edge("x", "b", -1), (UnknownNode, "edge endpoint 'x' is not a declared node")),
+    "unknown destination before bad weight": (False, lambda g: g.add_edge("a", "y", -1), (UnknownNode, "edge endpoint 'y' is not a declared node")),
+    "weight 0": _bad_weight(0),
+    "weight -1": _bad_weight(-1),
+    "weight nan": _bad_weight(math.nan),
+    "weight inf": _bad_weight(INFINITE),
+    "weight '1'": _bad_weight("1"),
+    "weight None": _bad_weight(None),
+    "int weight stored as float": (False, lambda g: g.add_edge("b", "a", 2), _stored_as(2.0)),
+    "bool weight stored as float": (False, lambda g: g.add_edge("b", "a", True), _stored_as(1.0)),
+    "node on a frozen graph": (True, lambda g: g.add_node("c"), (GraphError, f"cannot add node 'c': {FROZEN}")),
+    "frozen before empty node id": (True, lambda g: g.add_node(""), (GraphError, f"cannot add node '': {FROZEN}")),
+    "empty node id": (False, lambda g: g.add_node(""), BAD_ID),
+    "int node id": (False, lambda g: g.add_node(7), BAD_ID),
+    "list node id": (False, lambda g: g.add_node(["a"]), BAD_ID),
+    "declared again": (False, lambda g: g.add_node("a"),
+                       lambda g: set(g.nodes) == {"a", "b"} and not g.sentinels and g.has_edge("a", "b")),
+    "declared again as sentinel": (False, lambda g: g.add_node("a", sentinel=True),
+                                   lambda g: set(g.nodes) == {"a", "b"} and g.sentinels == {"a"} and g.has_edge("a", "b")),
+}
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("name", ADMISSION)
+    def test_admission(self, name):
+        """What ``add_edge`` and ``add_node`` refuse, with which error and
+        message, which check wins when two fail, and what they store."""
+        frozen, write, outcome = ADMISSION[name]
+        g = _admission_base(frozen)
+        if callable(outcome):
+            write(g)
+            assert outcome(g)
+            return
+        before = g.to_json()
+        with pytest.raises(GraphError) as info:
+            write(g)
+        assert (type(info.value), str(info.value)) == outcome
+        assert g.to_json() == before
+
+
 class TestFreeze:
     def test_writes_on_a_frozen_graph_are_refused(self):
         base = BUILDERS[TopologyKind.LINEAR_PIPELINE]()
@@ -427,7 +495,7 @@ class TestRouteMemo:
         assert g.shortest_path("a", "z", lane, {"c"}).nodes == ("a", "b", "z")
 
     def test_memo_is_capped(self):
-        names = [f"n{i:02d}" for i in range(20)]
+        names = [f"n{i:02d}" for i in range(33)]  # 1,056 (source, goal) pairs
         g = ToolGraph()
         for name in names:
             g.add_node(name)
@@ -442,7 +510,7 @@ class TestRouteMemo:
             assert (route.total_cost, route.nodes) == brute_force_shortest(g, source, goal)
 
     def test_threads_read_and_write_one_memo(self):
-        names = [f"n{i:02d}" for i in range(20)]  # more (source, goal) pairs than either memo holds
+        names = [f"n{i:02d}" for i in range(48)]  # more (source, goal) pairs than either memo holds
 
         def ring() -> ToolGraph:
             g = ToolGraph()
@@ -454,13 +522,16 @@ class TestRouteMemo:
             return g
 
         shared, reference, workers, errors = ring().freeze(), ring(), 4, []  # reference: never frozen, computes every route
+        spanned = set()  # (source, goal) pairs searched with a blocked set, each a span memo key
 
         def work(seed: int) -> None:
             rng = random.Random(seed)
             try:
-                for _ in range(300):
+                for _ in range(800):
                     blocked = frozenset(rng.sample(names, rng.randint(0, 2)))
                     source, goal = rng.sample(names, 2)
+                    if blocked and source not in blocked and goal not in blocked:
+                        spanned.add((source, goal))
                     assert shared.shortest_path(source, goal, (), blocked) == reference.shortest_path(source, goal, (), blocked)
             except Exception as exc:  # a thread's error must fail the test, not vanish with the thread
                 errors.append(exc)
@@ -476,6 +547,7 @@ class TestRouteMemo:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(spanned) > ROUTE_MEMO_ENTRIES  # so each memo was cleared during the race
         # a writer checks the size, then stores: racing writers may each add one past the cap
         assert 0 < len(shared._routes) <= ROUTE_MEMO_ENTRIES + workers
         assert 0 < len(shared._spans) <= ROUTE_MEMO_ENTRIES + workers
