@@ -218,6 +218,12 @@ def _parse_row(where: str, doc: object, scenarios: dict[str, Scenario]) -> Bench
             raise ResultCorrupt(f"{where}: {name} must be a JSON {wanted}, got {doc[name]!r}")
     if doc["status"] not in ("success", "escalated"):
         raise ResultCorrupt(f"{where}: status must be 'success' or 'escalated', got {doc['status']!r}")
+    # A run is correct exactly when it is not silent, and only a run that
+    # reports success can be silent (``baselines.audit``).
+    if doc["correct"] is doc["silent_failure"]:
+        raise ResultCorrupt(f"{where}.correct is {doc['correct']!r}, but silent_failure is {doc['silent_failure']!r}")
+    if doc["silent_failure"] and doc["status"] != "success":
+        raise ResultCorrupt(f"{where}.silent_failure is true, but status is {doc['status']!r}, not 'success'")
     lost = doc["classifiers_lost"]
     if lost is not None and (type(lost) is not int or lost < 0):
         raise ResultCorrupt(f"{where}: classifiers_lost must be null or a JSON integer >= 0, got {lost!r}")

@@ -1,10 +1,9 @@
 """Per-tool circuit breakers on a simulated clock.
 
-Each tool carries a three-state circuit breaker (CLOSED / OPEN /
-HALF_OPEN) fed by call results and health probes.  The breaker feeds the
-tool_health monitor and the probers.  No calibration value is an edge
-cost: search runs on the graph's fixed costs, and a failed tool leaves
-routing by quarantine.
+Each tool carries a two-phase circuit breaker (CLOSED / OPEN) fed by call
+results and health probes.  The breaker feeds the tool_health monitor and
+the probers.  No calibration value is an edge cost: search runs on the
+graph's fixed costs, and a failed tool leaves routing by quarantine.
 
 All timing runs off an explicit simulated clock; wall time is never read,
 so any sequence of events replays bit-identically.
@@ -67,17 +66,18 @@ class SimClock:
 class BreakerPhase(Enum):
     CLOSED = "closed"
     OPEN = "open"
-    HALF_OPEN = "half_open"
 
 
 @dataclass(slots=True)
 class BreakerState:
-    """Per-tool circuit breaker.
+    """Per-tool circuit breaker with two phases.
 
     CLOSED trips to OPEN after ``trip_threshold`` consecutive failures.
-    OPEN holds for ``cooldown_ms``; the first probe after cooldown moves it
-    to HALF_OPEN and that probe's outcome resolves to CLOSED (success) or
-    back to OPEN with a fresh cooldown (failure).
+    OPEN holds for at least ``cooldown_ms``: no call result closes it, and
+    any failure restarts the cooldown.  The first probe after the cooldown
+    is the pattern's half-open trial, decided within that one probe: a
+    success closes the breaker, a failure keeps it OPEN with a fresh
+    cooldown.
     """
 
     phase: BreakerPhase = BreakerPhase.CLOSED
@@ -85,9 +85,6 @@ class BreakerState:
     cooldown_ms: int = 10_000
     trip_threshold: int = 3
     consecutive_failures: int = 0
-
-    def cooldown_elapsed(self, now_ms: int) -> bool:
-        return self.phase is BreakerPhase.OPEN and now_ms - self.opened_at >= self.cooldown_ms
 
     def on_result(self, now_ms: int, success: bool) -> None:
         if self.phase is BreakerPhase.CLOSED:
@@ -98,23 +95,17 @@ class BreakerState:
                 if self.consecutive_failures >= self.trip_threshold:
                     self.phase = BreakerPhase.OPEN
                     self.opened_at = now_ms
-        elif self.phase is BreakerPhase.OPEN:
-            # A stray call result while open never closes the circuit; a
-            # failure restarts the cooldown to damp flapping.
-            if not success:
-                self.opened_at = now_ms
-        elif self.phase is BreakerPhase.HALF_OPEN:
-            if success:
-                self.phase = BreakerPhase.CLOSED
-                self.consecutive_failures = 0
-            else:
-                self.phase = BreakerPhase.OPEN
-                self.opened_at = now_ms
+        elif not success:
+            # A call result while open never closes the circuit; a failure
+            # restarts the cooldown to damp flapping.
+            self.opened_at = now_ms
 
     def on_probe(self, now_ms: int, success: bool) -> None:
-        if self.cooldown_elapsed(now_ms):
-            self.phase = BreakerPhase.HALF_OPEN
-        self.on_result(now_ms, success)
+        if success and self.phase is BreakerPhase.OPEN and now_ms - self.opened_at >= self.cooldown_ms:
+            self.phase = BreakerPhase.CLOSED
+            self.consecutive_failures = 0
+        else:
+            self.on_result(now_ms, success)
 
 
 @dataclass(frozen=True)
@@ -174,8 +165,7 @@ class ToolState:
         self.breaker.on_result(clock.now, success)
 
     def run_health_probe(self, clock: SimClock, latency_ms: float, success: bool) -> None:
-        """Proactive update: same effects as a call, except an OPEN breaker
-        whose cooldown has elapsed first moves to HALF_OPEN so the probe
-        outcome decides recovery."""
+        """Proactive update: same effects as a call, except that a success
+        closes an OPEN breaker whose cooldown has elapsed."""
         self._observe(clock.now, latency_ms)
         self.breaker.on_probe(clock.now, success)

@@ -424,21 +424,21 @@ def execute_task(
         escalate("handoff" if kind == "demotion" else kind, note)
         return None
 
-    def recover(batch: list[str], detail: str) -> RoutePath | None:
-        """The recovery step: quarantine the batch, recompute once from the
-        last completed node, and on a null route consult once for a
-        demotion.  The recompute blocks only unfinished quarantined tools
-        (``blocked``), so a quarantine of work already done, the last
-        completed node included, never forces a consult while a route
-        onward exists.  Returns the route to resume on, or None once
-        escalated."""
-        quarantine(batch)
-        route = graph.shortest_path(position, goal_node, lane, blocked())
-        if route is None:
+    def route(event: str, detail: str) -> RoutePath | None:
+        """The one route search: from the last completed node to the active
+        goal over the tried rungs' lane, logged as ``event`` (``routed``
+        first, ``reroute`` after a quarantine).  It blocks only unfinished
+        quarantined tools (``blocked``), so a quarantine of work already
+        done, the last completed node included, never forces a consult while
+        a route onward exists.  A null route is logged as
+        ``route_exhausted`` and consults once for a demotion.  Returns the
+        route to walk, or None once escalated."""
+        path = graph.shortest_path(position, goal_node, lane, blocked())
+        if path is None:
             trace.log(clock.now, "route_exhausted", source=position, goal=goal_node)
             return consult("demotion", detail)
-        trace.log(clock.now, "reroute", path=list(route.nodes), cost=route.total_cost)
-        return route
+        trace.log(clock.now, event, path=list(path.nodes), cost=path.total_cost)
+        return path
 
     # Pre-execution sweep: probe-detected outages are quarantined before the
     # first route is computed; an already-visible risk escalates before any
@@ -449,15 +449,9 @@ def execute_task(
         return trace
     if alerts(winner):
         quarantine(alerts(winner))
-
-    path = graph.shortest_path(start, goal_node, (), trace.quarantined)
+    path = route("routed", "no initial route")
     if path is None:
-        trace.log(clock.now, "route_exhausted", source=start, goal=goal_node)
-        path = consult("demotion", "no initial route")
-        if path is None:
-            return trace
-    else:
-        trace.log(clock.now, "routed", path=list(path.nodes), cost=path.total_cost)
+        return trace
 
     for _ in range(_MAX_LOOP):
         # Each pass walks the current route past its source.  A node the task
@@ -472,7 +466,8 @@ def execute_task(
             if interrupted(winner):
                 return trace
             if alerts(winner):
-                path = recover(alerts(winner), "no route after quarantine")
+                quarantine(alerts(winner))
+                path = route("reroute", "no route after quarantine")
                 break
             if node not in graph.sentinels:
                 outcome = invoker.invoke(node, clock)
@@ -490,13 +485,12 @@ def execute_task(
                     # quarantine ends the pass; risk cannot win, as a failed
                     # call leaves visibility as it was and the sweep before
                     # the call did not escalate.
-                    batch = sorted({node}.union(alerts(sweep())))
-                    path = recover(batch, f"failure of {node} exhausted the route")
+                    quarantine(sorted({node}.union(alerts(sweep()))))
+                    path = route("reroute", f"failure of {node} exhausted the route")
                     break
                 position = node
             trace.completed.add(node)
         else:
-            trace.status = TraceStatus.SUCCESS
             trace.resolution = {"kind": "completed", "goal": trace.final_goal, "path": list(path.nodes)}
             trace.log(clock.now, "completed", goal=trace.final_goal)
             return trace

@@ -30,7 +30,6 @@ from toolrouter.bench import (
 )
 from toolrouter.calibration import (
     BreakerPhase,
-    BreakerState,
     SimClock,
     ToolCalibration,
     ToolState,
@@ -209,15 +208,16 @@ class TestC7CircuitBreaker:
         clock.advance(10_000)
         state.run_health_probe(clock, 50, False)  # post-cooldown probe fails: reopen
         assert state.breaker.phase is BreakerPhase.OPEN
+        assert state.breaker.opened_at == clock.now  # with a fresh cooldown
 
-        clock.advance(10_000)
+        clock.advance(9_999)
+        state.run_health_probe(clock, 50, True)  # the fresh cooldown still runs: held open
+        assert state.breaker.phase is BreakerPhase.OPEN
+
+        clock.advance(1)
         state.run_health_probe(clock, 50, True)  # post-cooldown probe succeeds
         assert state.breaker.phase is BreakerPhase.CLOSED
-
-        half_open = BreakerState(phase=BreakerPhase.HALF_OPEN)
-        half_open.on_probe(clock.now, False)
-        assert half_open.phase is BreakerPhase.OPEN
-        note("C7 circuit breaker: PASS (trip, held open, reopen, close, half-open failure)")
+        note("C7 circuit breaker: PASS (trip, held open, reopen with a fresh cooldown, close)")
 
 
 class TestC9RiskProjection:

@@ -53,6 +53,19 @@ def _repeat_first_row(doc):
         agg[key] += row[key]
 
 
+def _flags(i, correct, silent_failure):
+    """Set row ``i``'s two flags, with its aggregates recomputed to match."""
+
+    def corrupt(doc):
+        row = doc["rows"][i]
+        agg = doc["aggregates"][row["arch"]]
+        agg["correct"] += correct - row["correct"]
+        agg["silent_failures"] += silent_failure - row["silent_failure"]
+        row.update(correct=correct, silent_failure=silent_failure)
+
+    return corrupt
+
+
 class TestRunBenchmark:
     def test_router_aggregate_row(self, result):
         agg = result.aggregates["shr"]
@@ -238,6 +251,9 @@ class TestPersistence:
             (lambda doc: doc["rows"][2].update(classifiers_lost=-2), "rows[2]: classifiers_lost must be null or a JSON integer >= 0, got -2"),
             (lambda doc: doc["rows"][2].update(classifiers_lost=True), "rows[2]: classifiers_lost must be null or a JSON integer >= 0, got True"),
             (_repeat_first_row, "rows[57]: a second S1/shr row"),
+            (_flags(0, False, False), "rows[0].correct is False, but silent_failure is False"),
+            (_flags(0, True, True), "rows[0].correct is True, but silent_failure is True"),
+            (_flags(9, False, True), "rows[9].silent_failure is true, but status is 'escalated', not 'success'"),
         ],
         ids=[
             "unknown_field",
@@ -263,6 +279,9 @@ class TestPersistence:
             "classifiers_lost_negative",
             "classifiers_lost_bool",
             "repeated_row",
+            "neither_correct_nor_silent",
+            "correct_and_silent",
+            "silent_but_escalated",
         ],
     )
     def test_corrupt_result_names_the_field(self, result, tmp_path, corrupt, names):

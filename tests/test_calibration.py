@@ -69,16 +69,17 @@ class TestBreakerStateMachine:
         state.record_call(clock, 100, False)
         assert state.breaker.phase is BreakerPhase.CLOSED
 
-    def test_half_open_probe_success_closes(self):
-        b = BreakerState(phase=BreakerPhase.HALF_OPEN)
-        b.on_probe(0, True)
-        assert b.phase is BreakerPhase.CLOSED
+    def test_breaker_has_two_phases(self):
+        assert list(BreakerPhase) == [BreakerPhase.CLOSED, BreakerPhase.OPEN]
 
     def test_half_open_probe_failure_reopens_with_fresh_cooldown(self):
-        b = BreakerState(phase=BreakerPhase.HALF_OPEN)
-        b.on_probe(5000, False)
+        # The half-open trial is the first probe after the cooldown; a failed
+        # trial keeps the breaker OPEN and restarts its cooldown.
+        b = BreakerState(phase=BreakerPhase.OPEN, opened_at=0, cooldown_ms=10_000)
+        b.on_probe(15_000, False)
+        assert (b.phase, b.opened_at) == (BreakerPhase.OPEN, 15_000)
+        b.on_probe(24_999, True)
         assert b.phase is BreakerPhase.OPEN
-        assert b.opened_at == 5000
 
     def test_open_holds_through_pre_cooldown_probes(self):
         b = BreakerState(phase=BreakerPhase.OPEN, opened_at=0, cooldown_ms=10_000)
@@ -86,6 +87,8 @@ class TestBreakerStateMachine:
         assert b.phase is BreakerPhase.OPEN
 
     def test_open_transitions_half_open_after_cooldown(self):
+        # The half-open trial is the first probe after the cooldown; its
+        # success closes the breaker.
         clock = SimClock()
         state = ToolState("stripe", ToolCalibration(trip_threshold=1, cooldown_ms=10_000))
         state.record_call(clock, 100, False)
@@ -95,37 +98,35 @@ class TestBreakerStateMachine:
         assert state.breaker.phase is BreakerPhase.CLOSED
 
     def test_exhaustive_transition_table(self):
-        # Every (phase, event, cooldown-elapsed) cell matches the declared
-        # machine; no other transitions exist.
+        # Every (phase, event, cooldown-elapsed) cell gives the declared
+        # (phase, opened_at, consecutive_failures); no other transitions
+        # exist.  Each breaker trips at 1 failure with a 10,000 ms cooldown
+        # and was opened at 0 (an OPEN one after its 1 failure); the event
+        # comes at 9,999 (cooldown running) or 10,000 (elapsed).
+        closed, open_ = BreakerPhase.CLOSED, BreakerPhase.OPEN
         expected = {
-            (BreakerPhase.CLOSED, "call_success", False): BreakerPhase.CLOSED,
-            (BreakerPhase.CLOSED, "call_failure", False): BreakerPhase.OPEN,  # threshold 1 below
-            (BreakerPhase.CLOSED, "probe_success", False): BreakerPhase.CLOSED,
-            (BreakerPhase.CLOSED, "probe_failure", False): BreakerPhase.OPEN,
-            (BreakerPhase.OPEN, "call_success", False): BreakerPhase.OPEN,
-            (BreakerPhase.OPEN, "call_failure", False): BreakerPhase.OPEN,
-            (BreakerPhase.OPEN, "probe_success", False): BreakerPhase.OPEN,
-            (BreakerPhase.OPEN, "probe_failure", False): BreakerPhase.OPEN,
-            (BreakerPhase.OPEN, "probe_success", True): BreakerPhase.CLOSED,
-            (BreakerPhase.OPEN, "probe_failure", True): BreakerPhase.OPEN,
-            (BreakerPhase.HALF_OPEN, "call_success", False): BreakerPhase.CLOSED,
-            (BreakerPhase.HALF_OPEN, "call_failure", False): BreakerPhase.OPEN,
-            (BreakerPhase.HALF_OPEN, "probe_success", False): BreakerPhase.CLOSED,
-            (BreakerPhase.HALF_OPEN, "probe_failure", False): BreakerPhase.OPEN,
+            (closed, "call_success", False): (closed, 0, 0),
+            (closed, "call_success", True): (closed, 0, 0),
+            (closed, "call_failure", False): (open_, 9_999, 1),
+            (closed, "call_failure", True): (open_, 10_000, 1),
+            (closed, "probe_success", False): (closed, 0, 0),
+            (closed, "probe_success", True): (closed, 0, 0),
+            (closed, "probe_failure", False): (open_, 9_999, 1),
+            (closed, "probe_failure", True): (open_, 10_000, 1),
+            (open_, "call_success", False): (open_, 0, 1),
+            (open_, "call_success", True): (open_, 0, 1),
+            (open_, "call_failure", False): (open_, 9_999, 1),
+            (open_, "call_failure", True): (open_, 10_000, 1),
+            (open_, "probe_success", False): (open_, 0, 1),
+            (open_, "probe_success", True): (closed, 0, 0),
+            (open_, "probe_failure", False): (open_, 9_999, 1),
+            (open_, "probe_failure", True): (open_, 10_000, 1),
         }
+        assert len(expected) == len(BreakerPhase) * len(EVENTS) * 2
         for (phase, event, elapsed), want in expected.items():
-            b = BreakerState(phase=phase, trip_threshold=1, cooldown_ms=10_000)
-            now = 20_000 if elapsed else 0
-            b.opened_at = 0 if elapsed else now
-            drive(b, event, now)
-            assert b.phase is want, (phase, event, elapsed)
-
-    def test_half_open_reachable_only_from_open(self):
-        for phase in (BreakerPhase.CLOSED, BreakerPhase.HALF_OPEN):
-            for event in EVENTS:
-                b = BreakerState(phase=phase, trip_threshold=99)
-                drive(b, event, 999_999)
-                assert b.phase is not BreakerPhase.HALF_OPEN or phase is BreakerPhase.HALF_OPEN
+            b = BreakerState(phase=phase, trip_threshold=1, cooldown_ms=10_000, consecutive_failures=int(phase is open_))
+            drive(b, event, 10_000 if elapsed else 9_999)
+            assert (b.phase, b.opened_at, b.consecutive_failures) == want, (phase, event, elapsed)
 
 
 class TestToolStateInvariants:

@@ -304,38 +304,6 @@ class TestRestoreAndReweight:
             support_graph.edge("email", "crm")
 
 
-class TestConstruction:
-    def test_no_self_loops(self):
-        g = ToolGraph()
-        g.add_node("a")
-        with pytest.raises(Exception):
-            g.add_edge("a", "a", 1.0)
-
-    def test_edges_require_declared_nodes(self):
-        g = ToolGraph()
-        g.add_node("a")
-        with pytest.raises(UnknownNode):
-            g.add_edge("a", "missing", 1.0)
-
-    def test_edge_weight_validation(self):
-        g = ToolGraph()
-        g.add_node("a")
-        g.add_node("b")
-        for bad in (0.0, -1.0, float("nan"), INFINITE):
-            with pytest.raises(NonPositiveWeight):
-                g.add_edge("a", "b", bad)
-
-    def test_edge_checks_run_in_order(self):
-        g = ToolGraph()
-        g.add_node("a")
-        with pytest.raises(GraphError, match="self-loop on 'x'"):
-            g.add_edge("x", "x", -1.0)
-        with pytest.raises(UnknownNode, match="'x' is not a declared node"):
-            g.add_edge("x", "y", -1.0)
-        with pytest.raises(UnknownNode, match="'y' is not a declared node"):
-            g.add_edge("a", "y", -1.0)
-
-
 def _admission_base(frozen: bool) -> ToolGraph:
     g = ToolGraph()
     g.add_node("a")
@@ -367,7 +335,9 @@ ADMISSION = {
     "unknown source before bad weight": (False, lambda g: g.add_edge("x", "b", -1), (UnknownNode, "edge endpoint 'x' is not a declared node")),
     "unknown destination before bad weight": (False, lambda g: g.add_edge("a", "y", -1), (UnknownNode, "edge endpoint 'y' is not a declared node")),
     "weight 0": _bad_weight(0),
+    "weight 0.0": _bad_weight(0.0),
     "weight -1": _bad_weight(-1),
+    "weight -1.0": _bad_weight(-1.0),
     "weight nan": _bad_weight(math.nan),
     "weight inf": _bad_weight(INFINITE),
     "weight '1'": _bad_weight("1"),
